@@ -5,7 +5,7 @@ step store and the packed struct-of-arrays kernel.
 The scenario is a saturated gossip mesh: every process broadcasts on each
 local timeout, tuned so a message is deliverable on most ticks — the
 message-dense regime the paper's statistical experiments live in, and the
-worst case for full-fidelity recording (every tick retains a step). Five
+worst case for full-fidelity recording (every tick retains a step). Four
 paths run the *same* trajectory (asserted byte-identical):
 
 - **legacy** — :class:`repro.sim.observers.LegacyFullRecorder` over the
@@ -18,14 +18,11 @@ paths run the *same* trajectory (asserted byte-identical):
 - **packed** — ``record="full"`` on ``kernel="packed"``: the struct-of-
   arrays envelope pool with per-receiver shard heaps and the fused
   dense-tick loop (floor ``packed_speedup``).
-- **compiled** — same, with the pool hosted by the optional C extension
-  but the tick loop still in Python (``kernel="compiled"``; reported as
-  ``compiled_pool_speedup``, not gated).
-- **compiled-loop** — the C extension owns the tick loop itself
-  (``_ckernel.run_loop``), calling back into Python only for process
-  handlers (``kernel="compiled-loop"``; reported and gated as
-  ``compiled_speedup``, the top of the kernel ladder). Both compiled
-  rungs are skipped silently when the extension is not built, unless
+- **compiled-loop** — the optional C extension hosts the pool and owns
+  the tick loop itself (``_ckernel.run_loop``), calling back into Python
+  only for process handlers (``kernel="compiled-loop"``; reported and
+  gated as ``compiled_speedup``, the top of the kernel ladder). Skipped
+  silently when the extension is not built, unless
   ``--require-compiled``, which additionally asserts the C loop actually
   engaged (``sim.fused_path == "c-loop"``) rather than silently degrading
   to the Python fused loop.
@@ -33,8 +30,8 @@ paths run the *same* trajectory (asserted byte-identical):
 Measured: wall-clock throughput on a long run (the legacy path additionally
 decays with run length as the GC traverses millions of retained records)
 and peak ``tracemalloc`` bytes on a shorter run (the per-step memory ratio
-is length-independent). Nominal on a dev container: ~2.7x columnar, ~4.8x
-packed, and ~7.0x compiled-loop throughput, ~3.9x lower peak memory; CI
+is length-independent). Nominal on a dev container: ~2.2x columnar, ~4.1x
+packed, and ~5.6x compiled-loop throughput, ~3.9x lower peak memory; CI
 fails below the conservative floors committed in
 ``benchmarks/baselines.json`` (the single source of truth shared with
 ``check_bench_floors.py``; single-CPU runners show ~15% timing noise and
@@ -164,8 +161,6 @@ def main() -> int:
         )
         return 1
     paths = ["legacy", "columnar", "packed"]
-    if HAS_COMPILED:
-        paths.append("compiled")
     if HAS_COMPILED_LOOP:
         paths.append("compiled-loop")
 
@@ -209,13 +204,7 @@ def main() -> int:
     throughput = {path: args.ticks / min(times[path]) for path in paths}
     speedup = throughput["columnar"] / throughput["legacy"]
     packed_speedup = throughput["packed"] / throughput["legacy"]
-    compiled_pool_speedup = (
-        throughput["compiled"] / throughput["legacy"]
-        if "compiled" in throughput
-        else None
-    )
-    # compiled_speedup is the gated top-of-ladder number: the C tick loop,
-    # not just the C envelope pool.
+    # compiled_speedup is the gated top-of-ladder number (C pool + C loop).
     compiled_speedup = (
         throughput["compiled-loop"] / throughput["legacy"]
         if "compiled-loop" in throughput
@@ -233,9 +222,6 @@ def main() -> int:
         "throughput_legacy_tps": round(throughput["legacy"]),
         "throughput_columnar_tps": round(throughput["columnar"]),
         "throughput_packed_tps": round(throughput["packed"]),
-        "throughput_compiled_tps": (
-            round(throughput["compiled"]) if "compiled" in throughput else None
-        ),
         "throughput_compiled_loop_tps": (
             round(throughput["compiled-loop"])
             if "compiled-loop" in throughput
@@ -243,9 +229,6 @@ def main() -> int:
         ),
         "speedup": round(speedup, 2),
         "packed_speedup": round(packed_speedup, 2),
-        "compiled_pool_speedup": (
-            round(compiled_pool_speedup, 2) if compiled_pool_speedup else None
-        ),
         "compiled_speedup": (
             round(compiled_speedup, 2) if compiled_speedup else None
         ),
@@ -272,12 +255,6 @@ def main() -> int:
         f"  columnar {throughput['columnar']:,.0f} ticks/s ({speedup:.2f}x), "
         f"packed {throughput['packed']:,.0f} ticks/s ({packed_speedup:.2f}x)"
         + (
-            f", compiled {throughput['compiled']:,.0f} ticks/s "
-            f"({compiled_pool_speedup:.2f}x)"
-            if compiled_pool_speedup
-            else "  [compiled kernel not built]"
-        )
-        + (
             f", compiled-loop {throughput['compiled-loop']:,.0f} ticks/s "
             f"({compiled_speedup:.2f}x, "
             + (
@@ -287,7 +264,7 @@ def main() -> int:
             )
             + ")"
             if compiled_speedup
-            else ""
+            else "  [compiled kernel not built]"
         )
     )
     print(

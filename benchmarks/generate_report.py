@@ -189,7 +189,7 @@ METHODOLOGY = """\
   global cell list, ordered cost-descending (per-experiment cost hints, so
   the expensive EXP-7 tail overlaps the cheap cells) and executed through
   exactly one streaming `ScenarioSuite` worker pool
-  (`run(backend="stream")`, completion-order consumption). Results are
+  (`ScenarioSuite.stream`, completion-order consumption). Results are
   demultiplexed per experiment by each cell's provenance tags and
   reassembled in canonical grid order, so they are independent of worker
   count, completion order, and pool ordering.
@@ -212,7 +212,7 @@ METHODOLOGY = """\
   one-way partitions, GST-style and per-pair-late stabilization), rendered
   as per-environment column blocks. Environment delay draws are
   counter-based (pure in `(seed, link, send time)`), so the swept cells are
-  byte-identical across worker counts and suite backends.
+  byte-identical across worker counts and cell orderings.
 - **Reproduce.** `python -m benchmarks.generate_report` rewrites this file
   and `BENCH_report.json`; `--seeds`/`--spread` change the sweep width and
   dispersion metric; `--smoke` (1 seed) is the CI gate and fails on any
@@ -220,7 +220,7 @@ METHODOLOGY = """\
   result cache (`repro.analysis.cache`): a killed run continues from its
   crash-safe journal and a warm rerun executes zero cells, emitting these
   files byte-identically — which is why timing lives on stderr, not here.
-  `benchmarks/bench_report_wallclock.py` measures the packed campaign
+  `tests/test_campaign.py` pins the packed campaign's numbers
   against the old sequential per-experiment sweeps.
 """
 
@@ -391,8 +391,7 @@ def main(argv: list[str] | None = None) -> int:
 
         cache = ResultCache(args.cache_dir)
     outcome = campaign.run(
-        workers=args.workers, backend="stream", progress=SuiteProgress(),
-        cache=cache,
+        workers=args.workers, progress=SuiteProgress(), cache=cache,
     )
     report["campaign"] = {
         "cells": len(outcome.suite.cells),

@@ -1,11 +1,11 @@
 """Build shim for the optional compiled sim kernel.
 
 All project metadata lives in pyproject.toml; this file exists only to
-declare the optional C extension backing ``Simulation(kernel="compiled")``.
-The extension is best-effort: a missing compiler (or any build failure)
-degrades to a pure-Python install where ``repro.sim.HAS_COMPILED`` is
-False and the "compiled" kernel raises ConfigurationError at
-construction.  Build it in place with::
+declare the optional C extension backing
+``Simulation(kernel="compiled-loop")``. The extension is best-effort: a
+missing compiler (or any build failure) degrades to a pure-Python install
+where ``repro.sim.HAS_COMPILED`` is False and the "compiled-loop" kernel
+raises ConfigurationError at construction.  Build it in place with::
 
     python setup.py build_ext --inplace
 """

@@ -143,8 +143,8 @@ def cell_key(
 
     The key covers the code digest, the runner identity, and the resolved
     cell parameters (seed and axis values included) — and nothing
-    positional: provenance tags, pool indices, worker counts, backends, and
-    kernels are all absent, which is what makes the store shareable across
+    positional: provenance tags, pool indices, worker counts, and kernels
+    are all absent, which is what makes the store shareable across
     campaigns and execution strategies. The canonical text is stored beside
     each entry so ``--verify`` can re-derive the digest from the entry
     itself.

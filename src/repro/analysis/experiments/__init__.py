@@ -19,7 +19,7 @@ EXPERIMENTS.md and returns an :class:`ExperimentResult` holding structured
 rows and a rendered table; all take a ``seed`` keyword, so every
 :class:`ExperimentDef` expands into picklable, provenance-tagged cells
 (``cells(seeds)``) that a :class:`Campaign` pools across *all* experiments
-onto one shared worker pool (:func:`sweep` is the single-experiment shim).
+onto one shared worker pool.
 The benchmark harness (``benchmarks/``) calls the functions under
 ``pytest-benchmark``; ``EXPERIMENTS.md`` quotes their tables. The functions
 are deterministic for fixed seeds.
@@ -35,7 +35,6 @@ from repro.analysis.experiments.base import (
     aggregate_sweep,
     experiment,
     run_experiment,
-    sweep,
     sweep_rows,
 )
 from repro.analysis.experiments.campaign import Campaign, CampaignResult
@@ -95,7 +94,6 @@ __all__ = [
     "aggregate_sweep",
     "experiment",
     "run_experiment",
-    "sweep",
     "sweep_rows",
     "exp_ablation_churn",
     "exp_ablation_heartbeat_gst",

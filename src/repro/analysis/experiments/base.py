@@ -11,8 +11,8 @@ into :class:`~repro.suite.Cell` objects — see :meth:`ExperimentDef.cells` —
 each a picklable unit (runner + resolved params + provenance tags) that can
 execute on any :class:`~repro.suite.ScenarioSuite` worker pool. A
 :class:`~repro.analysis.experiments.campaign.Campaign` pools the cells of
-*many* experiments into one shared, cost-ordered pool; :func:`sweep` is the
-single-experiment shim over it.
+*many* experiments into one shared, cost-ordered pool (a single-experiment
+sweep is just ``Campaign([key])``).
 
 Experiments additionally declare a *report spec* — which row columns
 identify a scenario (``group_by``), which are numeric measurements
@@ -225,49 +225,12 @@ def run_experiment(key: str, **kwargs: Any) -> ExperimentResult:
 
 
 def _sweep_cell(key: str, **params: Any) -> ExperimentResult:
-    """Module-level cell runner (picklable) for :func:`sweep`."""
+    """Module-level cell runner (picklable) for :meth:`ExperimentDef.cells`."""
     # Import the package, not just this module, so the registry is populated
     # even in a worker that starts from a cold interpreter.
     from repro.analysis import experiments  # noqa: F401
 
     return run_experiment(key, **params)
-
-
-def sweep(
-    key: str,
-    *,
-    seeds: int | Sequence[int] = 4,
-    workers: int | None = None,
-    backend: str = "stream",
-    progress: Callable | None = None,
-    **axes: Sequence[Any],
-) -> SuiteResult:
-    """Run experiment ``key`` across seeds (and optional extra axes).
-
-    .. deprecated::
-        ``sweep`` is now a thin shim over a single-experiment
-        :class:`~repro.analysis.experiments.campaign.Campaign`; prefer a
-        campaign directly when sweeping more than one experiment — it packs
-        every cell into *one* worker pool instead of one pool per
-        experiment. The return shape (a :class:`~repro.suite.SuiteResult`
-        with one cell per ``seed × axes`` point, in seed-major grid order)
-        is unchanged, so existing callers keep working.
-
-    Each cell invokes the experiment with one ``seed`` (plus one value per
-    extra axis) and yields its :class:`ExperimentResult`; cells run across
-    ``workers`` processes. ``backend``/``progress`` pass through to
-    :meth:`~repro.suite.ScenarioSuite.run` (``backend="stream"`` feeds a
-    live progress table). Use :func:`sweep_rows` to flatten the per-seed
-    result tables into one row list, or :func:`aggregate_sweep` for the
-    mean ± spread report table.
-    """
-    from repro.analysis.experiments.campaign import Campaign
-
-    campaign = Campaign([key], seeds=seeds)
-    if axes:
-        campaign.extend(key, **axes)
-    outcome = campaign.run(workers=workers, backend=backend, progress=progress)
-    return outcome.experiment(key)
 
 
 def sweep_rows(result: SuiteResult) -> list[dict]:
@@ -346,7 +309,7 @@ def aggregate_sweep(
     spread: str = "stdev",
     pivot: str | None = None,
 ) -> tuple[Table, list[dict]]:
-    """Fold a :func:`sweep` outcome into one mean ± spread table.
+    """Fold one experiment's sweep result into one mean ± spread table.
 
     Rows are grouped by the experiment's :class:`ReportSpec` ``group_by``
     columns (in first-seen order — the experiment's own scenario order);
@@ -359,7 +322,8 @@ def aggregate_sweep(
 
     ``pivot`` renders a two-axis sweep the readable way: the named column —
     typically an extra sweep axis, e.g. ``n`` after
-    ``sweep("EXP-4", n=[4, 5])`` — becomes *columns* instead of extra rows.
+    ``Campaign(["EXP-4"]).extend("EXP-4", n=[4, 5])`` — becomes *columns*
+    instead of extra rows.
     Each table row keeps the remaining ``group_by`` identity; every
     aggregate column is repeated once per pivot value (``tau [n=4] |
     tau [n=5] | …``), with ``-`` where a combination produced no rows. The

@@ -23,8 +23,8 @@ each cell carries::
 
 Determinism: cell parameters (seeds included) are fixed at expansion time,
 and demultiplexing reassembles each experiment's cells by their canonical
-``cell`` tag — so results are byte-identical across worker counts, backends,
-and pool orderings (``order="cost"`` vs ``order="grid"``); ordering only
+``cell`` tag — so results are byte-identical across worker counts and pool
+orderings (``order="cost"`` vs ``order="grid"``); ordering only
 moves wall-clock time.
 """
 
@@ -49,10 +49,10 @@ class CampaignResult:
     ``suite`` is the raw pooled :class:`~repro.suite.SuiteResult` (cells in
     execution order — cost-descending by default); ``by_experiment`` maps
     each experiment key to a demultiplexed ``SuiteResult`` whose cells are
-    re-indexed into the experiment's canonical grid order, shaped exactly
-    like a single-experiment :func:`~repro.analysis.experiments.sweep`
-    result (its ``wall_time`` is the summed *cell* cost — the cells shared
-    one pool, so per-experiment wall clock does not exist).
+    re-indexed into the experiment's canonical grid order, one cell per
+    ``seed × axes`` point in seed-major order (its ``wall_time`` is the
+    summed *cell* cost — the cells shared one pool, so per-experiment wall
+    clock does not exist).
     """
 
     suite: SuiteResult
@@ -168,7 +168,6 @@ class Campaign:
         self,
         *,
         workers: int | None = None,
-        backend: str = "stream",
         progress: Callable[[CellResult, int, int], None] | None = None,
         order: str = "cost",
         cache: Any | None = None,
@@ -181,7 +180,7 @@ class Campaign:
         after them; ``order="grid"`` keeps canonical order. Ordering and
         worker count never change the *results*: demultiplexing reassembles
         each experiment's cells by their canonical ``cell`` tag.
-        ``workers`` / ``backend`` / ``progress`` pass through to
+        ``workers`` / ``progress`` pass through to
         :meth:`~repro.suite.ScenarioSuite.run`; with the default
         :class:`~repro.suite.SuiteProgress` each line is prefixed by the
         cell's experiment key.
@@ -203,7 +202,7 @@ class Campaign:
             pool.sort(key=lambda cell: -cell.cost)
         start = time.perf_counter()
         suite_result = ScenarioSuite.from_cells(pool, name=self.name).run(
-            workers=workers, backend=backend, progress=progress, cache=cache
+            workers=workers, progress=progress, cache=cache
         )
         by_experiment: dict[str, list[CellResult]] = {key: [] for key in self.keys}
         for cell in suite_result.cells:

@@ -23,7 +23,7 @@ from repro.suite import Axis
     flags=("within_bound", "ok"),
     cost=0.1,
     # The declared two-axis sweeps: `Campaign.extend("EXP-4", "n")` (or
-    # `sweep("EXP-4", n=[...])`) multiplies the tau grid by system size,
+    # `.extend("EXP-4", n=[...])`) multiplies the tau grid by system size,
     # `Campaign.extend("EXP-4", "env")` by network environment;
     # `aggregate_sweep(..., pivot=...)` renders either as columns.
     axes=(Axis("n", (4, 5)), Axis("env", ("baseline", "age-gst", "late-links"))),

@@ -165,7 +165,7 @@ class Scenario:
 
     def kernel(self, kernel: str) -> "Scenario":
         """Select the data plane: ``"packed"`` (default), ``"legacy"``, or
-        ``"compiled"`` (requires the built C extension; see
+        ``"compiled-loop"`` (requires the built C extension; see
         :mod:`repro.sim.kernel`)."""
         self._kernel = kernel
         return self

@@ -9,7 +9,7 @@ A deterministic hill-climb with restart annealing, batched onto the existing
 - the batch is evaluated as cost-tagged suite cells (one trial per cell, the
   target's declared cost), so trials run across ``workers`` processes and
   stream back in completion order while results are reassembled by index —
-  worker count and backend can never change what the search sees;
+  worker count can never change what the search sees;
 - the round's best candidate is accepted if it improves the current value,
   or with annealing probability ``exp((candidate - current) / T)`` under a
   geometrically cooling temperature; after ``restart_after`` rounds without
@@ -21,7 +21,7 @@ counter-based in ``(seed, round, slot)`` via
 :func:`~repro.sim.types.stable_hash`, and every trial is pure in its point,
 so the whole search trajectory is a pure function of
 ``(target, budget, seed, batch, restart_after, t0, decay)``.
-``tests/test_falsify.py`` pins worker-count and backend independence.
+``tests/test_falsify.py`` pins worker-count independence.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def falsify(
     seed: int = 0,
     batch: int = 8,
     workers: int = 0,
-    backend: str = "stream",
     kernel: str = "packed",
     restart_after: int = 5,
     t0: float = 16.0,
@@ -128,7 +127,7 @@ def falsify(
             for i, point in enumerate(candidates)
         ]
         outcome = ScenarioSuite.from_cells(cells, name=f"falsify-{target.name}") \
-            .run(workers=workers, backend=backend)
+            .run(workers=workers)
         for cell in outcome.cells:
             if not cell.ok:
                 raise ConfigurationError(

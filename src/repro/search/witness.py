@@ -141,15 +141,13 @@ def replay_witness(
     *,
     kernel: str = "packed",
     workers: int = 0,
-    backend: str = "stream",
 ) -> tuple[float, int]:
     """Reconstruct the witness's exact run; returns fresh ``(value, digest)``.
 
     ``kernel`` selects the sim kernel to reconstruct on; with ``workers > 0``
     the trial is dispatched as a single cell on a
-    :class:`~repro.suite.ScenarioSuite` worker pool (``backend`` as in
-    :meth:`~repro.suite.ScenarioSuite.run`), exercising the same pickle and
-    reassembly path search trials take. The caller compares the result
+    :class:`~repro.suite.ScenarioSuite` worker pool, exercising the same
+    pickle and reassembly path search trials take. The caller compares the result
     against ``(witness.value, witness.digest)`` — equality is the corpus
     invariant.
     """
@@ -170,7 +168,7 @@ def replay_witness(
             ],
             name="witness-replay",
         )
-        result = suite.run(workers=workers, backend=backend)
+        result = suite.run(workers=workers)
         cell = result.cells[0]
         if not cell.ok:
             raise ConfigurationError(

@@ -28,9 +28,9 @@ module removes both:
   (``Simulation.step`` + batched pops + timeout check + recording) fused
   into one function that reads the packed columns directly and appends
   straight into the run's columnar :class:`~repro.sim.runs.StepStore`.
-  Selected automatically by ``Simulation(kernel="packed"|"compiled")``
-  for ``engine="event"`` + round-robin runs whose observers all take the
-  raw dispatch paths; every other configuration falls back to the generic
+  Selected automatically by ``Simulation(kernel="packed")`` for
+  ``engine="event"`` + round-robin runs whose observers all take the raw
+  dispatch paths; every other configuration falls back to the generic
   engine (still on the packed network, through its compat methods).
 
 Kernel selection — ``Simulation(kernel=...)``:
@@ -39,26 +39,24 @@ Kernel selection — ``Simulation(kernel=...)``:
     the PR 4 data plane: object heaps, generic engine loops.
 ``packed`` (default)
     :class:`PackedNetwork` + the pure-Python fused loop.
-``compiled``
-    :class:`CompiledPackedNetwork`: the packed pool and shard heaps live in
-    the optional C extension ``repro.sim._ckernel`` (built via
-    ``python setup.py build_ext --inplace``; see ``pyproject.toml``). The
-    fused loop is shared with ``packed`` — only the pool operations change.
-    Requesting it without the extension built raises
-    :class:`~repro.sim.errors.ConfigurationError`; :data:`HAS_COMPILED`
-    reports availability.
 ``compiled-loop``
-    the C pool *plus* the C tick loop: ``_ckernel.run_loop`` owns the
-    round-robin dense-tick loop itself (due checks, shard pops, timeout
-    firing, outbox expansion, local-index refresh, store appends) and
-    calls back into Python only for process handlers, packed sends,
-    idle-span accounting, and raw/log observers. Engages under the same
-    conditions as the Python fused loop *and* additionally requires no
-    send/deliver observers (those need per-envelope views the C loop
-    never materializes); ineligible runs degrade one rung to the shared
-    Python fused loop on the same network, never to an error.
-    :data:`HAS_COMPILED_LOOP` reports availability (a stale extension
-    without ``run_loop`` degrades the same way).
+    the optional C extension ``repro.sim._ckernel`` (built via
+    ``python setup.py build_ext --inplace``; see ``pyproject.toml``) hosts
+    both the message pool and the tick loop. :class:`CompiledPackedNetwork`
+    keeps the packed pool and shard heaps in C, and ``_ckernel.run_loop``
+    owns the round-robin dense-tick loop itself (due checks, shard pops,
+    timeout firing, outbox expansion, local-index refresh, store appends),
+    calling back into Python only for process handlers, packed sends,
+    idle-span accounting, and raw/log observers. The C loop engages under
+    the same conditions as the Python fused loop *and* additionally
+    requires no send/deliver observers (those need per-envelope views the
+    C loop never materializes); ineligible runs degrade one rung to the
+    shared Python fused loop over the same C pool, never to an error.
+    Requesting the kernel without the extension built raises
+    :class:`~repro.sim.errors.ConfigurationError`; :data:`HAS_COMPILED`
+    reports availability, and :data:`HAS_COMPILED_LOOP` whether the C loop
+    is exported (a stale extension without ``run_loop`` degrades the same
+    way).
 
 All kernel rungs are pinned byte-identical (run records, counters, RNG
 streams) by ``tests/test_kernel.py`` on top of the PR 4 differential oracle
@@ -93,7 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.scheduler import Simulation
 
 #: valid values of ``Simulation(kernel=...)``.
-KERNELS = ("legacy", "packed", "compiled", "compiled-loop")
+KERNELS = ("legacy", "packed", "compiled-loop")
 
 #: scan-vs-heap cutover for the fused loop's idle next-event query: at
 #: ``n <= SCAN_EVENT_CUTOVER`` a direct O(n) scan over the per-process
@@ -602,7 +600,8 @@ class PackedNetwork(Network):
 
 
 class CompiledPackedNetwork(PackedNetwork):
-    """The packed pool and shard heaps, hosted by the C extension.
+    """The packed pool and shard heaps, hosted by the C extension (the
+    network of ``kernel="compiled-loop"``).
 
     Storage moves into ``repro.sim._ckernel.Pool`` (slot columns, free
     list, per-receiver shard heaps); the merge layer, counters, and all
@@ -621,7 +620,7 @@ class CompiledPackedNetwork(PackedNetwork):
     ) -> None:
         if not HAS_COMPILED:
             raise ConfigurationError(
-                "kernel='compiled' requested but repro.sim._ckernel is not "
+                "kernel='compiled-loop' requested but repro.sim._ckernel is not "
                 "built; run `python setup.py build_ext --inplace` with a C "
                 "compiler available, or use kernel='packed'"
             )
@@ -821,7 +820,7 @@ def make_network(
         return Network(n, delay_model, compact_factor=compact_factor)
     if kernel == "packed":
         return PackedNetwork(n, delay_model, compact_factor=compact_factor)
-    if kernel in ("compiled", "compiled-loop"):
+    if kernel == "compiled-loop":
         return CompiledPackedNetwork(
             n, delay_model, compact_factor=compact_factor
         )
@@ -833,12 +832,12 @@ def make_network(
 def fused_runner(sim: "Simulation") -> Callable[["Simulation", Time], None] | None:
     """The fused dense-tick runner for ``sim``, or None when ineligible.
 
-    Eligible when the network is packed and every attached step observer
-    takes the raw dispatch path (the built-in recorders do) — then the
-    fused loop is behaviourally identical to the generic event engine.
-    The caller still gates on ``engine="event"`` + round-robin at run
-    time; ineligible configurations run the generic loops against the
-    packed network's compat methods.
+    Eligible for ``engine="event"`` + round-robin runs on a packed network
+    whose attached step observers all take the raw dispatch path (the
+    built-in recorders do) — then the fused loop is behaviourally identical
+    to the generic event engine. Ineligible configurations run the generic
+    loops against the network's compat methods, and ``sim.fused_path``
+    reports None for them.
 
     ``kernel="compiled-loop"`` adds one more rung: when the C extension
     exports ``run_loop`` and no send/deliver observer is attached (the C
@@ -847,6 +846,8 @@ def fused_runner(sim: "Simulation") -> Callable[["Simulation", Time], None] | No
     loop itself runs in C. Every ineligible combination degrades to the
     Python fused loop — the ladder never falls off to an error.
     """
+    if sim.engine != "event" or sim.scheduling != "round_robin":
+        return None
     if sim._step_observers and sim._raw_step_observers is None:
         return None
     if not isinstance(sim.network, PackedNetwork):

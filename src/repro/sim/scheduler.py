@@ -42,7 +42,9 @@ drive the clock:
   permutation derived (each process holds exactly one slot per block, so a
   full block's live-tick count needs no permutation at all). Permutations
   are keyed by block index, which is what makes deriving them out of order
-  — and skipping them entirely — sound.
+  — and skipping them entirely — sound. When an observer needs every
+  idle-step record, the same loop records each live idle tick instead of
+  counting it.
 
 Fast-forward invariants (checked by ``tests/test_engine_differential.py``):
 
@@ -52,7 +54,7 @@ Fast-forward invariants (checked by ``tests/test_engine_differential.py``):
 - with ``record="full"`` the engine materializes the idle-step records a
   naive stepper would have produced (empty message, sampled detector value),
   so the :class:`RunRecord` is byte-identical to the naive engine's;
-- the scheduling RNG stream is identical across engines and fidelity levels,
+- the block permutations are identical across engines and fidelity levels,
   so a run's trajectory never depends on how it is observed.
 
 The engine assumes detector histories are pure functions of ``(pid, t)`` —
@@ -193,10 +195,6 @@ class Simulation:
             raise ConfigurationError("network size does not match process count")
         self.detector = detector
         self.seed = seed
-        #: kept for compatibility; scheduling no longer consumes it (block
-        #: permutations are keyed on ``(seed, block)`` instead of drawn from
-        #: a shared stream), so its state is untouched by a run.
-        self.rng = random.Random(seed)
         if scheduling not in ("round_robin", "random"):
             raise ConfigurationError(f"unknown scheduling policy {scheduling!r}")
         self.scheduling = scheduling
@@ -238,10 +236,6 @@ class Simulation:
         self._permutation: list[ProcessId] = list(range(self.n))
         #: block index the cached permutation was derived for (-1 = none yet).
         self._perm_block = -1
-        #: random-scheduling fast-forward strategy: ``"block"`` (default)
-        #: skips idle spans arithmetically; ``"scan"`` forces the per-tick
-        #: walk (kept as the differential/benchmark baseline).
-        self._random_ff = "block"
         self.run = RunRecord(self.n, self.failure_pattern, seed=seed)
         self.record_level = record
         #: aggregate counters; populated by the ``record="metrics"`` recorder
@@ -397,9 +391,9 @@ class Simulation:
         """The schedule permutation of block ``block`` (counter-based).
 
         Keyed on ``(seed, block)`` so any block's permutation is derivable
-        without visiting earlier blocks: the naive stepper, the per-tick
-        scan, and the blockwise fast-forward see identical schedules no
-        matter which blocks they actually touch.
+        without visiting earlier blocks: the naive stepper and the
+        blockwise fast-forward see identical schedules no matter which
+        blocks they actually touch.
         """
         if block != self._perm_block:
             rng = random.Random(stable_hash("block-permutation", self.seed, block))
@@ -603,12 +597,6 @@ class Simulation:
             return deliver_at
         return event_at
 
-    def _tick_interesting(self, pid: ProcessId, t: Time) -> bool:
-        """True iff the step at tick ``t`` (scheduled: ``pid``) does any work."""
-        if self.failure_pattern.crashed(pid, t):
-            return False
-        return self._event_time(pid) <= t
-
     def _next_event_query(self, now: Time, align_rr: bool) -> Time | None:
         """Earliest actionable tick over both lazy horizon heaps, or None.
 
@@ -748,57 +736,28 @@ class Simulation:
     def _advance_event_random(self, t_end: Time) -> None:
         """Advance to the next interesting tick under random scheduling.
 
-        When an observer needs every idle-step record the ticks must be
-        visited one by one anyway; otherwise the blockwise skip jumps over
-        idle spans without the per-tick check (byte-identical outcomes —
-        pinned by the differential tests).
+        Blockwise skip: any tick strictly before the earliest pending event
+        (over processes that can still act) is idle no matter which
+        permutation the scheduler draws, so the span up to that horizon is
+        handed to :meth:`_skip_span_random` in one piece. Only the block
+        containing the horizon is then walked tick-by-tick — and it may come
+        up empty (the scheduled slot of the process owning the event can
+        fall before the event), in which case the horizon is recomputed past
+        the block. Live idle ticks are counted, or recorded one by one when
+        an observer needs every idle-step record.
         """
-        if self._materialize_idle or self._random_ff == "scan":
-            self._advance_event_random_scan(t_end)
-            return
         # Dense-run fast path, mirroring the round-robin one.
         now = self.time
         pid = self._scheduled_pid(now)
         if not self.failure_pattern.crashed(pid, now) and self._event_time(pid) <= now:
             self.step()
             return
-        self._advance_event_random_block(t_end)
-
-    def _advance_event_random_scan(self, t_end: Time) -> None:
-        """Per-tick walk: check each tick's scheduled process for due work."""
-        t = self.time
-        materialize = self._materialize_idle
-        while t < t_end:
-            pid = self._scheduled_pid(t)
-            if self._tick_interesting(pid, t):
-                self.time = t
-                self.step()
-                return
-            if not self.failure_pattern.crashed(pid, t):
-                if materialize:
-                    self._record_idle_step(t, pid)
-                else:
-                    self.metrics.idle_ticks_skipped += 1
-                    self.last_live_tick = t
-            t += 1
-        self.time = t_end
-
-    def _advance_event_random_block(self, t_end: Time) -> None:
-        """Blockwise skip: jump idle spans instead of checking every tick.
-
-        Any tick strictly before the earliest pending event (over processes
-        that can still act) is idle no matter which permutation the scheduler
-        draws, so the span up to that horizon is accounted arithmetically by
-        :meth:`_skip_span_random`. Only the block containing the horizon is
-        then walked tick-by-tick — and it may come up empty (the scheduled
-        slot of the process owning the event can fall before the event), in
-        which case the horizon is recomputed past the block.
-        """
         n = self.n
         crash_times = self.failure_pattern.crash_times
         local = self._local_event
         next_at = self.network._next_at  # O(1) per-receiver delivery index
-        t = self.time
+        materialize = self._materialize_idle
+        t = now
         while t < t_end:
             horizon = self._next_event_query(t, align_rr=False)
             if horizon is None or horizon >= t_end:
@@ -823,9 +782,12 @@ class Simulation:
                         self.time = t
                         self.step()
                         return
-                    self.metrics.idle_ticks_skipped += 1
-                    if t > self.last_live_tick:
-                        self.last_live_tick = t
+                    if materialize:
+                        self._record_idle_step(t, pid)
+                    else:
+                        self.metrics.idle_ticks_skipped += 1
+                        if t > self.last_live_tick:
+                            self.last_live_tick = t
                 t += 1
         self.time = t_end
 
@@ -835,9 +797,17 @@ class Simulation:
         Counts live idle ticks and finds the last live tick without visiting
         each tick: a process occupies exactly one slot per block, so full
         blocks contribute arithmetically and only blocks straddling a span
-        edge or a crash boundary need their permutation derived.
+        edge or a crash boundary need their permutation derived. When idle
+        records are materialized every live tick is recorded instead.
         """
         if start >= end:
+            return
+        if self._materialize_idle:
+            crashed = self.failure_pattern.crashed
+            for t in range(start, end):
+                pid = self._scheduled_pid(t)
+                if not crashed(pid, t):
+                    self._record_idle_step(t, pid)
             return
         live = end - start
         crash_times = self.failure_pattern.crash_times
@@ -927,18 +897,17 @@ class Simulation:
     def run_until(self, t_end: Time) -> RunRecord:
         """Run until the clock reaches ``t_end`` ticks."""
         validate_time(t_end)
-        if self.engine == "naive":
+        if self._fused_run is not None:
+            # Packed kernels, event engine, round-robin: one fused loop to
+            # t_end (see repro.sim.kernel.run_fused_rr; byte-identical by
+            # the differential tests).
+            self._fused_run(self, t_end)
+        elif self.engine == "naive":
             while self.time < t_end:
                 self.step()
         elif self.scheduling == "round_robin":
-            if self._fused_run is not None:
-                # Packed/compiled kernel: one fused loop to t_end (see
-                # repro.sim.kernel.run_fused_rr; byte-identical by the
-                # differential tests).
-                self._fused_run(self, t_end)
-            else:
-                while self.time < t_end:
-                    self._advance_event_rr(t_end)
+            while self.time < t_end:
+                self._advance_event_rr(t_end)
         else:
             while self.time < t_end:
                 self._advance_event_random(t_end)

@@ -33,17 +33,14 @@ returned values must be picklable. Serial execution (``workers=0``) accepts
 any callable. Exceptions inside a cell do not abort the suite; they are
 captured per cell in :attr:`CellResult.error`.
 
-Backends: ``run(backend="stream")`` (default) executes over a process pool
-whose results are consumed in *completion order* (the ``imap_unordered``
-shape) and reassembled deterministically by cell index, so a ``progress``
+Execution: :meth:`ScenarioSuite.run` executes over a process pool whose
+results are consumed in *completion order* (the ``imap_unordered`` shape)
+and reassembled deterministically by cell index, so a ``progress``
 callback — e.g. :class:`SuiteProgress`, a live progress table — observes
-every cell as it lands instead of waiting for the slowest. The streaming
-backend also surfaces hard worker deaths (a cell calling ``os._exit``, a
-segfault, an OOM kill) as :class:`SuiteExecutionError` rather than hanging.
-``run(backend="batch")`` executes over a ``multiprocessing.Pool`` with
-``chunksize`` — useful for grids of many trivial cells — but cannot detect
-a dying worker; both backends capture ordinary cell exceptions per cell,
-and both invoke ``progress`` after every completed cell.
+every cell as it lands instead of waiting for the slowest. Ordinary cell
+exceptions are captured per cell; hard worker deaths (a cell calling
+``os._exit``, a segfault, an OOM kill) surface as
+:class:`SuiteExecutionError` rather than hanging.
 
 Cell pools: besides expanding its own grid, a suite can execute an explicit
 list of pre-built :class:`Cell` objects — each carrying its *own* runner,
@@ -404,7 +401,7 @@ class ScenarioSuite:
         Serial (``workers`` <= 1) streams in grid order from this process and
         accepts any callable. Parallel streams from a process pool in
         whatever order workers finish — consumers needing grid order sort by
-        :attr:`CellResult.index` (``run(backend="stream")`` does). A worker
+        :attr:`CellResult.index` (:meth:`run` does). A worker
         that dies outright raises :class:`SuiteExecutionError` naming the
         cell being awaited. ``cells`` restricts execution to an explicit
         subset (how :meth:`run` skips cache-served cells); default is the
@@ -451,8 +448,6 @@ class ScenarioSuite:
         self,
         *,
         workers: int | None = None,
-        chunksize: int = 1,
-        backend: str = "stream",
         progress: Callable[[CellResult, int, int], None] | None = None,
         cache: Any | None = None,
     ) -> SuiteResult:
@@ -460,22 +455,18 @@ class ScenarioSuite:
 
         ``workers=None`` uses one process per CPU (capped at the cell count);
         ``workers=0`` or ``1`` runs serially in this process.
-        The default ``backend="stream"`` executes over :meth:`stream`
-        (completion-order consumption, deterministic reassembly by cell
-        index, and hard worker deaths surfaced as
-        :class:`SuiteExecutionError` instead of hanging);
-        ``backend="batch"`` uses a ``multiprocessing.Pool`` with
-        ``chunksize``, which amortizes dispatch for grids of many trivial
-        cells but cannot detect a dying worker. ``progress`` — e.g.
-        :class:`SuiteProgress` — is invoked as
-        ``progress(result, completed, total)`` after each cell on either
-        backend; cell enumeration and seeding are identical across backends
-        and worker counts, so the *result* is too.
+        Execution goes through :meth:`stream` (completion-order
+        consumption, deterministic reassembly by cell index, and hard worker
+        deaths surfaced as :class:`SuiteExecutionError` instead of
+        hanging). ``progress`` — e.g. :class:`SuiteProgress` — is invoked
+        as ``progress(result, completed, total)`` after each cell; cell
+        enumeration and seeding are identical across worker counts, so the
+        *result* is too.
 
         ``cache`` — a :class:`repro.analysis.cache.ResultCache` — makes the
-        run memoized and resumable on *both* backends: cells whose
-        content-addressed key is already in the store (or in the crash-safe
-        journal of an interrupted run of this same campaign) are served
+        run memoized and resumable: cells whose content-addressed key is
+        already in the store (or in the crash-safe journal of an
+        interrupted run of this same campaign) are served
         without dispatching, reported to ``progress`` first (grid order,
         marked ``hit``/``resumed``); every freshly executed result is
         journaled (append + fsync) the moment it streams in, *before* it is
@@ -484,10 +475,6 @@ class ScenarioSuite:
         Cache temperature never changes the returned numbers — a served
         result is the pickled payload of the identical earlier execution.
         """
-        if backend not in ("batch", "stream"):
-            raise ConfigurationError(
-                f"unknown suite backend {backend!r}; expected 'batch' or 'stream'"
-            )
         cells = self.cells()
         total = len(cells)
         start = time.perf_counter()
@@ -510,28 +497,10 @@ class ScenarioSuite:
             for served in session.served:
                 note(served)
 
-        if backend == "stream" or workers <= 1:
-            # stream(workers<=1) is the serial loop, so the batch backend
-            # shares it rather than duplicating the iteration.
-            if workers <= 1:
-                effective_workers = 1
-            for result in self.stream(workers=workers, cells=pending):
-                if session is not None:
-                    session.record(result)
-                note(result)
-        else:
-            import multiprocessing
-
-            self._require_picklable_runners(pending)
-            tasks = [(self._runner_of(cell), cell) for cell in pending]
-            if tasks:
-                with multiprocessing.Pool(processes=effective_workers) as pool:
-                    for result in pool.imap_unordered(
-                        _execute_cell, tasks, chunksize=chunksize
-                    ):
-                        if session is not None:
-                            session.record(result)
-                        note(result)
+        for result in self.stream(workers=workers, cells=pending):
+            if session is not None:
+                session.record(result)
+            note(result)
         if session is not None:
             session.commit()
         results.sort(key=lambda cell: cell.index)
@@ -548,7 +517,7 @@ class SuiteProgress:
 
     ::
 
-        suite.run(backend="stream", progress=SuiteProgress(label="EXP-4"))
+        suite.run(progress=SuiteProgress(label="EXP-4"))
         # [ 3/12] EXP-4: tau=200, seed=1400073466 -> ExperimentResult(...) (1.42s)
 
     Lines go to ``stream`` (default: stderr, keeping stdout clean for piped
@@ -556,8 +525,7 @@ class SuiteProgress:
     instead of going dark until the end. When a pooled cell carries an
     ``experiment`` provenance tag (a :class:`Cell` from a campaign), that
     tag prefixes the line — one pool carries cells from many experiments,
-    so a single static ``label`` could not identify them. The callback
-    fires on both the stream and the batch backend.
+    so a single static ``label`` could not identify them.
 
     Under a result cache (``run(cache=...)``) each line carries how the
     cell was obtained (``[cache hit]`` / ``[resumed]``; executed cells stay

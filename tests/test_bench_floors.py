@@ -85,7 +85,6 @@ class TestCommittedBaselines:
         assert benches == {
             "smoke_benchmark",
             "bench_dataplane",
-            "bench_report_wallclock",
             "bench_workload",
         }
         for spec in (baselines[k] for k in benches):

@@ -1,6 +1,6 @@
 """Tests for the content-addressed campaign result cache
 (:mod:`repro.analysis.cache`): key scheme, store/journal crash-safety,
-hit/miss purity across workers × backends, journal resume after worker
+hit/miss purity across worker counts, journal resume after worker
 death, code-digest invalidation, and byte-identical report regeneration."""
 
 import json
@@ -161,10 +161,7 @@ class TestSuiteCaching:
         ]
 
     @pytest.mark.parametrize("workers", [0, 2])
-    @pytest.mark.parametrize("backend", ["stream", "batch"])
-    def test_hit_miss_purity_across_workers_and_backends(
-        self, tmp_path, workers, backend
-    ):
+    def test_hit_miss_purity_across_workers(self, tmp_path, workers):
         # Populate serially once, then serve warm under every execution
         # strategy: identical values, zero executions, all hits.
         log = tmp_path / "log"
@@ -175,26 +172,20 @@ class TestSuiteCaching:
         )
         baseline = executions(log)
         warm = logged_suite(log).run(
-            workers=workers,
-            backend=backend,
-            cache=ResultCache(root, code_version="c1"),
+            workers=workers, cache=ResultCache(root, code_version="c1")
         )
         assert executions(log) == baseline
         assert warm.values() == reference.values()
         assert all(cell.cached == "hit" for cell in warm.cells)
 
-    @pytest.mark.parametrize("workers,backend", [(2, "stream"), (2, "batch")])
-    def test_cold_parallel_runs_populate_the_same_store(
-        self, tmp_path, workers, backend
-    ):
+    def test_cold_parallel_runs_populate_the_same_store(self, tmp_path):
         # A cold parallel run must store exactly what a serial run stores:
         # the key is content-addressed, never positional.
         log = tmp_path / "log"
         log.mkdir()
         root = tmp_path / "store"
         cold = logged_suite(log).run(
-            workers=workers, backend=backend,
-            cache=ResultCache(root, code_version="c1"),
+            workers=2, cache=ResultCache(root, code_version="c1")
         )
         assert cold.ok
         serial_root = tmp_path / "store-serial"
@@ -265,18 +256,13 @@ class TestSuiteCaching:
         root = tmp_path / "store"
         suite = lambda: logged_suite(log, seeds=(0, 1, 2, 99), runner=die_once_cell)
         with pytest.raises(SuiteExecutionError):
-            suite().run(
-                workers=2, backend="stream",
-                cache=ResultCache(root, code_version="c1"),
-            )
+            suite().run(workers=2, cache=ResultCache(root, code_version="c1"))
         journals = list((root / "journals").glob("*.jsonl"))
         assert len(journals) == 1
         journaled = len(Journal(journals[0]).entries())
         assert journaled >= 1  # the instant cells checkpointed before the death
         resumed_cache = ResultCache(root, code_version="c1")
-        result = suite().run(
-            workers=2, backend="stream", cache=resumed_cache
-        )
+        result = suite().run(workers=2, cache=resumed_cache)
         assert result.ok
         assert resumed_cache.stats.resumed == journaled
         assert resumed_cache.stats.misses == 4 - journaled

@@ -1,5 +1,5 @@
 """Tests for the cross-experiment Campaign: pooling, demultiplexing,
-determinism across workers/ordering, the sweep() shim, and pivoted tables."""
+determinism across workers/ordering, and pivoted tables."""
 
 import io
 import json
@@ -12,7 +12,6 @@ from repro.analysis.experiments import (
     ExperimentResult,
     aggregate_sweep,
     run_experiment,
-    sweep,
     sweep_rows,
 )
 from repro.analysis.tables import Table
@@ -22,6 +21,11 @@ from repro.suite import CellResult, SuiteProgress, SuiteResult
 # Cheap experiments only (≤ ~0.1 s/seed each) so the whole module stays fast.
 KEYS = ["EXP-5", "EXP-9", "EXP-10c"]
 SEEDS = [0, 1]
+
+
+def single(key, seeds):
+    """One experiment's sweep on its own single-experiment campaign."""
+    return Campaign([key], seeds=seeds).run(workers=0).experiment(key)
 
 
 def scrubbed(outcome, keys=KEYS):
@@ -111,17 +115,12 @@ class TestCampaignDeterminism:
         """The packed pool reproduces the old one-suite-per-experiment path."""
         outcome = Campaign(KEYS, seeds=SEEDS).run(workers=0)
         for key in KEYS:
-            sequential = sweep(key, seeds=SEEDS, workers=0)
+            sequential = single(key, SEEDS)
             pooled = outcome.experiment(key)
             assert [c.value.rows for c in pooled.cells] == [
                 c.value.rows for c in sequential.cells
             ]
             assert aggregate_sweep(key, pooled)[1] == aggregate_sweep(key, sequential)[1]
-
-    def test_batch_backend_matches_stream(self):
-        stream = Campaign(KEYS, seeds=SEEDS).run(workers=2, backend="stream")
-        batch = Campaign(KEYS, seeds=SEEDS).run(workers=2, backend="batch")
-        assert scrubbed(stream) == scrubbed(batch)
 
 
 def scrub_report(report):
@@ -168,7 +167,7 @@ class TestReportDeterminism:
         """The pooled report reproduces per-experiment sweeps number for number."""
         report = self.generate(tmp_path, monkeypatch, "pooled", ["--workers", "0"])
         for key in KEYS:
-            sequential = sweep(key, seeds=2, workers=0)
+            sequential = single(key, 2)
             table, aggregated = aggregate_sweep(key, sequential)
             assert (
                 json.loads(json.dumps(aggregated))
@@ -180,21 +179,6 @@ class TestReportDeterminism:
                     json.dumps(report["experiments"][key]["rows"], default=repr)
                 )
             )
-
-
-class TestSweepShim:
-    def test_shim_return_shape_unchanged(self):
-        result = sweep("EXP-5", seeds=SEEDS, workers=0)
-        assert isinstance(result, SuiteResult)
-        assert result.name == "EXP-5-sweep"
-        assert result.ok
-        rows = sweep_rows(result)
-        assert {row["seed"] for row in rows} == set(SEEDS)
-
-    def test_shim_extra_axes_expand_seed_major(self):
-        result = sweep("EXP-4", seeds=[0], workers=0, taus=[(0,), (120,)])
-        assert result.ok, result.failures()
-        assert [c.params["taus"] for c in result.cells] == [(0,), (120,)]
 
 
 class TestExtraAxes:

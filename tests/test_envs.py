@@ -8,7 +8,7 @@ Pins the load-bearing properties of :mod:`repro.sim.envs`:
   exactly what ``n`` point-to-point sends draw, per receiver in receiver
   order, for every registered environment;
 - an environment-swept cell pool produces byte-identical run records across
-  ``workers=0/2`` and both suite backends;
+  ``workers=0/2``;
 - policy semantics: one-way holds, flapping holds, per-pair stabilization
   clamps, outage holds, churn waves render deterministically.
 """
@@ -175,7 +175,7 @@ class TestRngDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# suite determinism across workers and backends
+# suite determinism across workers
 # ---------------------------------------------------------------------------
 
 
@@ -214,12 +214,10 @@ class TestSweptPoolDeterminism:
             .seeds([3, 17])
         )
 
-    def test_records_identical_across_workers_and_backends(self):
+    def test_records_identical_across_workers(self):
         reference = self._suite().run(workers=0).values()
         assert all(isinstance(v, bytes) for v in reference)
-        for workers, backend in ((2, "stream"), (2, "batch")):
-            values = self._suite().run(workers=workers, backend=backend).values()
-            assert values == reference, (workers, backend)
+        assert self._suite().run(workers=2).values() == reference
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ Four pillars:
   at every step (the compiled pool joins when the extension is built);
 - whole-run differentials over the randomized scenario space of
   ``test_engine_differential`` pinning byte-identical :class:`RunRecord`
-  objects across ``kernel="legacy" | "packed" | "compiled" |
-  "compiled-loop"`` under both ``round_robin`` and ``random`` scheduling
-  and both engines;
+  objects across ``kernel="legacy" | "packed" | "compiled-loop"`` under
+  both ``round_robin`` and ``random`` scheduling and both engines;
 - unit coverage for the kernel selection flag and the tunable heap
   self-compaction threshold (``compact_factor``) it exposes;
 - direct unit tests of the compiled ``Pool`` shard ordering and slot
@@ -50,14 +49,12 @@ from repro.sim.types import NEVER
 
 from test_engine_differential import build_sim, random_config, run_sim
 
-#: kernels exercised by the whole-run differentials; the compiled rungs
-#: join when the C extension is importable, and their absence is covered
-#: separately. "compiled-loop" needs only the Pool: with a stale extension
-#: (no run_loop) it degrades to the Python fused loop, which the same
+#: kernels exercised by the whole-run differentials; "compiled-loop" joins
+#: when the C extension is importable, and its absence is covered
+#: separately. It needs only the Pool: with a stale extension (no run_loop)
+#: it degrades to the Python fused loop over the C pool, which the same
 #: differentials then pin.
-BUILT_KERNELS = [
-    k for k in KERNELS if k not in ("compiled", "compiled-loop") or HAS_COMPILED
-]
+BUILT_KERNELS = [k for k in KERNELS if k != "compiled-loop" or HAS_COMPILED]
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,6 @@ class TestKernelRunDifferential:
                 sim.network.delivered_count
                 == reference.network.delivered_count
             )
-            assert sim.rng.getstate() == reference.rng.getstate()
 
     @pytest.mark.parametrize("scheduling", ["round_robin", "random"])
     @pytest.mark.parametrize("kernel", BUILT_KERNELS)
@@ -299,12 +295,16 @@ class TestKernelSelection:
         import repro.sim.kernel as kernel_mod
 
         monkeypatch.setattr(kernel_mod, "HAS_COMPILED", False)
-        with pytest.raises(ConfigurationError, match="compiled"):
+        with pytest.raises(ConfigurationError, match="compiled-loop"):
+            Simulation([Chatter() for _ in range(2)], kernel="compiled-loop")
+        # The C pool serves only as part of "compiled-loop"; there is no
+        # separately selectable pool-only kernel.
+        with pytest.raises(ConfigurationError, match="unknown kernel"):
             Simulation([Chatter() for _ in range(2)], kernel="compiled")
 
     @pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
     def test_compiled_kernel_builds_pool_network(self):
-        sim = Simulation([Chatter() for _ in range(2)], kernel="compiled")
+        sim = Simulation([Chatter() for _ in range(2)], kernel="compiled-loop")
         assert isinstance(sim.network, CompiledPackedNetwork)
         assert sim.network.pool_slots == 0
 
@@ -500,7 +500,7 @@ class LoggingChatter(Process):
         pass
 
 
-def _loop_sim(kernel, observers=(), cls=Chatter, n=3):
+def _loop_sim(kernel, observers=(), cls=Chatter, n=3, **sim_kwargs):
     return Simulation(
         [cls() for _ in range(n)],
         delay_model=FixedDelay(2),
@@ -509,7 +509,18 @@ def _loop_sim(kernel, observers=(), cls=Chatter, n=3):
         record="metrics",
         kernel=kernel,
         observers=list(observers),
+        **sim_kwargs,
     )
+
+
+class TestFusedPathResolution:
+    @pytest.mark.parametrize("kernel", BUILT_KERNELS)
+    def test_only_event_round_robin_runs_report_a_fused_loop(self, kernel):
+        # The naive engine and random scheduling never run a fused loop
+        # (neither the Python one nor the C one), so the property must not
+        # name one for them.
+        assert _loop_sim(kernel, engine="naive").fused_path is None
+        assert _loop_sim(kernel, scheduling="random").fused_path is None
 
 
 class TestObserverAttachDetach:
@@ -562,7 +573,6 @@ class TestCompiledLoopLadder:
     def test_lower_rungs_never_take_the_c_loop(self):
         assert _loop_sim("legacy").fused_path is None
         assert _loop_sim("packed").fused_path == "python"
-        assert _loop_sim("compiled").fused_path == "python"
 
     @pytest.mark.parametrize("spy_cls", [SendSpy, DeliverSpy])
     def test_envelope_observers_degrade_to_the_python_loop(self, spy_cls):

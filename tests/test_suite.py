@@ -1,5 +1,5 @@
 """Tests for the scenario-suite runner (grids, seeding, workers, sweeps,
-and the streaming backend)."""
+and streaming execution)."""
 
 import io
 import os
@@ -144,10 +144,8 @@ class TestCellPool:
 
     def test_parallel_pool_matches_serial(self):
         serial = self.pool().run(workers=0)
-        parallel = self.pool().run(workers=2, backend="stream")
+        parallel = self.pool().run(workers=2)
         assert parallel.values() == serial.values()
-        batch = self.pool().run(workers=2, backend="batch")
-        assert batch.values() == serial.values()
 
     def test_pool_indices_assigned_in_given_order(self):
         cells = self.pool().cells()
@@ -255,20 +253,20 @@ class TestExecution:
 
 
 class TestStreamingBackend:
-    def test_stream_matches_batch_in_grid_order(self):
+    def test_stream_matches_serial_in_grid_order(self):
         suite = ScenarioSuite(add_cell).axis("a", [1, 2, 3]).axis("b", [10, 20])
-        batch = suite.run(workers=2, backend="batch")
-        stream = suite.run(workers=2, backend="stream")
+        serial = suite.run(workers=0)
+        stream = suite.run(workers=2)
         assert stream.ok
-        assert stream.values() == batch.values()
+        assert stream.values() == serial.values()
         assert [c.index for c in stream.cells] == list(range(6))
-        assert [c.params for c in stream.cells] == [c.params for c in batch.cells]
+        assert [c.params for c in stream.cells] == [c.params for c in serial.cells]
 
     def test_reassembly_is_deterministic_despite_completion_order(self):
         # Cell 0 sleeps, so parallel completion order differs from grid
         # order; the assembled result must not.
         suite = ScenarioSuite(slow_when_small_cell).seeds([0, 1, 2, 3])
-        result = suite.run(workers=4, backend="stream")
+        result = suite.run(workers=4)
         assert result.ok
         assert result.values() == [0, 1, 2, 3]
         assert [c.index for c in result.cells] == [0, 1, 2, 3]
@@ -281,7 +279,6 @@ class TestStreamingBackend:
             .axis("b", [5, 6])
             .run(
                 workers=0,
-                backend="stream",
                 progress=lambda cell, done, total: seen.append(
                     (cell.index, done, total)
                 ),
@@ -292,11 +289,10 @@ class TestStreamingBackend:
         assert all(total == 4 for __, __, total in seen)
         assert sorted(index for index, __, __ in seen) == [0, 1, 2, 3]
 
-    def test_progress_callback_fires_on_batch_backend_too(self):
+    def test_progress_callback_fires_with_parallel_workers(self):
         seen = []
         ScenarioSuite(add_cell).axis("a", [1, 2]).axis("b", [5]).run(
             workers=2,
-            backend="batch",
             progress=lambda cell, done, total: seen.append(done),
         )
         assert seen == [1, 2]
@@ -308,9 +304,7 @@ class TestStreamingBackend:
         assert [cell.index for cell in results] == [0, 1]
 
     def test_cell_exceptions_still_captured_per_cell(self):
-        result = ScenarioSuite(failing_cell).seeds([1, 2]).run(
-            workers=2, backend="stream"
-        )
+        result = ScenarioSuite(failing_cell).seeds([1, 2]).run(workers=2)
         assert not result.ok
         assert len(result.failures()) == 2
         assert "boom" in result.failures()[0].error
@@ -321,18 +315,12 @@ class TestStreamingBackend:
 
     def test_worker_crash_surfaces_through_run(self):
         with pytest.raises(SuiteExecutionError):
-            ScenarioSuite(dying_cell).seeds([0, 1]).run(
-                workers=2, backend="stream"
-            )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioSuite(add_cell).seeds([0]).run(backend="firehose")
+            ScenarioSuite(dying_cell).seeds([0, 1]).run(workers=2)
 
     def test_streaming_scenario_cells_match_serial(self):
         suite = ScenarioSuite(etob_tau_cell).axis("tau", [0, 150]).seeds([0, 1])
         serial = suite.run(workers=0)
-        stream = suite.run(workers=2, backend="stream")
+        stream = suite.run(workers=2)
         assert stream.ok, stream.failures()
         assert stream.values() == serial.values()
 
@@ -340,7 +328,6 @@ class TestStreamingBackend:
         buffer = io.StringIO()
         result = ScenarioSuite(add_cell).axis("a", [1]).axis("b", [5, 6]).run(
             workers=0,
-            backend="stream",
             progress=SuiteProgress(stream=buffer, label="demo"),
         )
         assert result.ok
@@ -350,11 +337,17 @@ class TestStreamingBackend:
         assert lines[1].startswith("[2/2]")
 
 
+def exp5_sweep(workers):
+    from repro.analysis.experiments import Campaign
+
+    return Campaign(["EXP-5"], seeds=[0, 1]).run(workers=workers).experiment("EXP-5")
+
+
 class TestExperimentSweep:
     def test_sweep_runs_experiment_across_seeds(self):
-        from repro.analysis.experiments import sweep, sweep_rows
+        from repro.analysis.experiments import sweep_rows
 
-        result = sweep("EXP-5", seeds=[0, 1], workers=0)
+        result = exp5_sweep(workers=0)
         assert result.ok, result.failures()
         assert len(result.cells) == 2
         rows = sweep_rows(result)
@@ -370,11 +363,9 @@ class TestExperimentSweep:
             run_experiment("EXP-99")
 
     def test_sweep_parallel_workers(self):
-        from repro.analysis.experiments import sweep
-
-        result = sweep("EXP-5", seeds=[0, 1], workers=2)
+        result = exp5_sweep(workers=2)
         assert result.ok, result.failures()
-        serial = sweep("EXP-5", seeds=[0, 1], workers=0)
+        serial = exp5_sweep(workers=0)
         assert [c.value.rows for c in result.cells] == [
             c.value.rows for c in serial.cells
         ]

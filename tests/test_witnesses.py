@@ -2,7 +2,7 @@
 
 Every JSON file under ``tests/witnesses/`` is a worst case the falsifier
 once found; each must reconstruct to the exact same run — same objective
-value, same run digest — on every kernel and through every suite backend,
+value, same run digest — on every kernel and through the suite worker pool,
 and must still strictly exceed its recorded i.i.d. baseline when that
 baseline is recomputed from scratch. A mismatch here means replay purity
 broke somewhere: the scheduler, the environment models, the detector
@@ -19,17 +19,15 @@ from repro.search import (
     load_corpus,
     replay_witness,
 )
-from repro.sim import HAS_COMPILED, HAS_COMPILED_LOOP
+from repro.sim import HAS_COMPILED
 
 CORPUS = load_corpus()
 CORPUS_IDS = [w.target for w in CORPUS]
 
 #: every buildable kernel rung replays the corpus in-process; the worker
 #: pool matrix stays on the two always-available kernels to bound runtime.
-REPLAY_KERNELS = (
-    ["legacy", "packed"]
-    + (["compiled"] if HAS_COMPILED else [])
-    + (["compiled-loop"] if HAS_COMPILED_LOOP else [])
+REPLAY_KERNELS = ["legacy", "packed"] + (
+    ["compiled-loop"] if HAS_COMPILED else []
 )
 
 
@@ -54,13 +52,8 @@ def test_witness_replays_identically_in_process(witness, kernel):
 
 @pytest.mark.parametrize("witness", CORPUS, ids=CORPUS_IDS)
 @pytest.mark.parametrize("kernel", ["legacy", "packed"])
-@pytest.mark.parametrize("backend", ["stream", "batch"])
-def test_witness_replays_identically_through_worker_pool(
-    witness, kernel, backend
-):
-    value, digest = replay_witness(
-        witness, kernel=kernel, workers=2, backend=backend
-    )
+def test_witness_replays_identically_through_worker_pool(witness, kernel):
+    value, digest = replay_witness(witness, kernel=kernel, workers=2)
     assert value == witness.value
     assert digest == witness.digest
 
