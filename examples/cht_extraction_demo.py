@@ -17,8 +17,8 @@ Watch the emulated Omega stabilize on the same correct process everywhere,
 even though the underlying detector misbehaves until t=120 and the initial
 leader crashes.
 
-Run:  python examples/cht_extraction_demo.py   (takes ~10-20 s: it simulates
-     thousands of algorithm schedules per extraction)
+Run:  python examples/cht_extraction_demo.py   (takes a few seconds: it
+     simulates hundreds of algorithm schedules per extraction)
 """
 
 from repro import (

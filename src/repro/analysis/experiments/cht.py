@@ -16,7 +16,7 @@ from repro.sim import FailurePattern, FixedDelay, ProtocolStack, Simulation
     metrics=("extractions",),
     flags=("correct", "stabilized"),
     values=("leader",),
-    cost=8.5,
+    cost=2.7,
 )
 def exp_cht_extraction(*, seed: int = 0) -> ExperimentResult:
     """EXP-7: the distributed reduction emulates Omega from EC runs."""

@@ -19,7 +19,12 @@ A step of the simulated algorithm is ``(pid, fd_value, deliver)``:
 
 States are plain value objects (automaton snapshots + per-receiver message
 FIFOs + cumulative decisions), cheap to copy and hashable enough for
-deterministic exploration.
+deterministic exploration. Each step restores the stepping automaton from its
+snapshot and snapshots it again afterwards; for a :class:`ProtocolStack` that
+is one :meth:`Layer.snapshot` per layer, which the layers CHT replays
+(Algorithm 4 and its driver) implement by copying only their own mutable
+containers. Snapshots have value semantics, so siblings stepped from one
+parent state never share state.
 """
 
 from __future__ import annotations
@@ -74,8 +79,8 @@ class Decision:
 class ReplayState:
     """A configuration of the simulated system (immutable value object)."""
 
-    #: per-process automaton snapshots.
-    automata: tuple[dict, ...]
+    #: per-process automaton snapshots (for a stack: per-layer states).
+    automata: tuple[Any, ...]
     started: tuple[bool, ...]
     #: per-receiver FIFO of (sender, payload) pending messages.
     buffers: tuple[tuple[tuple[ProcessId, Any], ...], ...]

@@ -47,6 +47,15 @@ class EcDriverLayer(Layer):
         self.current_instance = 0
         self.decisions: dict[int, Any] = {}
 
+    # Instance ids and decided values are immutable, so a shallow copy of
+    # ``decisions`` is a value copy (see Layer.snapshot).
+    def snapshot(self) -> tuple:
+        return (self.current_instance, dict(self.decisions))
+
+    def restore(self, state: tuple) -> None:
+        self.current_instance, decisions = state
+        self.decisions = dict(decisions)
+
     def _propose(self, ctx: LayerContext, instance: int) -> None:
         value = self.proposal_fn(ctx.pid, instance)
         self.current_instance = instance

@@ -61,6 +61,20 @@ class EcUsingOmegaLayer(Layer):
         #: diagnostic counters
         self.proposals_made = 0
 
+    # -- state snapshots (CHT replay hot path) ----------------------------------
+
+    # Keys, values and instance ids are immutable, so shallow copies of
+    # ``received`` and ``decided`` are value copies (see Layer.snapshot).
+    def snapshot(self) -> tuple:
+        return (
+            self.count, dict(self.received), set(self.decided), self.proposals_made
+        )
+
+    def restore(self, state: tuple) -> None:
+        self.count, received, decided, self.proposals_made = state
+        self.received = dict(received)
+        self.decided = set(decided)
+
     # -- plumbing ---------------------------------------------------------------
 
     def _omega(self, ctx: LayerContext) -> ProcessId:

@@ -55,17 +55,20 @@ class Process:
 
     # -- state snapshots (used by the CHT replay harness) --------------------
 
-    def snapshot(self) -> dict[str, Any]:
-        """A deep copy of the automaton state.
+    def snapshot(self) -> Any:
+        """A value copy of the automaton state.
 
         The CHT construction simulates many alternative schedules of an
         algorithm; it snapshots states at tree vertices and restores them when
         exploring siblings. The default implementation deep-copies
         ``__dict__``, which suits plain-data protocol state.
+        :class:`~repro.sim.stack.ProtocolStack` overrides it with a tuple of
+        per-layer states (:meth:`~repro.sim.stack.Layer.snapshot`), so a
+        layer can copy only its own mutable containers.
         """
         return copy.deepcopy(self.__dict__)
 
-    def restore(self, state: dict[str, Any]) -> None:
+    def restore(self, state: Any) -> None:
         """Restore a state previously taken with :meth:`snapshot`."""
         self.__dict__.clear()
         self.__dict__.update(copy.deepcopy(state))

@@ -19,6 +19,7 @@ step), so arbitrarily deep call chains do not recurse.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import Any, Sequence
 
@@ -70,6 +71,26 @@ class Layer:
 
     def layer_name(self) -> str:
         return self.name or type(self).__name__
+
+    # -- state snapshots (used by the CHT replay harness) --------------------
+
+    def snapshot(self) -> Any:
+        """A value copy of the layer's mutable state.
+
+        The rule every override keeps: a snapshot never aliases a container
+        the live layer mutates, and :meth:`restore` never hands the snapshot's
+        containers to the live layer — so one snapshot can be restored any
+        number of times, and mutating the layer after :meth:`snapshot` leaves
+        the snapshot unchanged. The default deep-copies ``__dict__``, which is
+        correct for any plain-data layer; a layer on a hot replay path
+        overrides both hooks to copy only its own mutable containers.
+        """
+        return copy.deepcopy(self.__dict__)
+
+    def restore(self, state: Any) -> None:
+        """Restore, in place, a state taken with :meth:`snapshot`."""
+        self.__dict__.clear()
+        self.__dict__.update(copy.deepcopy(state))
 
 
 class LayerContext:
@@ -249,6 +270,27 @@ class ProtocolStack(Process):
                 self.layers[index].on_lower_event(ctx, payload)
             else:  # pragma: no cover - internal invariant
                 raise ProtocolError(f"unknown dispatch kind {kind!r}")
+
+    # -- state snapshots ----------------------------------------------------------------
+
+    def snapshot(self) -> tuple[Any, ...]:
+        """Per-layer states, bottom to top (see :meth:`Layer.snapshot`).
+
+        The stack's own fields (``pid``, ``n``, ``group_size``, the ``layers``
+        list) never change after :meth:`attach`, so nothing at stack level is
+        copied.
+        """
+        return tuple(layer.snapshot() for layer in self.layers)
+
+    def restore(self, state: tuple[Any, ...]) -> None:
+        """Restore every layer in place and drop undelivered dispatches.
+
+        A step aborted mid-dispatch (e.g. by the CHT replay's ``InputNeeded``)
+        can leave deliveries queued; they belong to the abandoned step.
+        """
+        self._pending.clear()
+        for layer, layer_state in zip(self.layers, state):
+            layer.restore(layer_state)
 
     # -- Process interface -------------------------------------------------------------
 

@@ -2,14 +2,34 @@
 
 import pytest
 
+from repro.cht import SampleDag, SimulationTree, TreeBounds, extract_leader
 from repro.cht.replay import InputNeeded, ReplaySandbox
 from repro.core import EcDriverLayer, EcUsingOmegaLayer
-from repro.sim import ProtocolStack
+from repro.sim import Layer, ProtocolStack
+from tests.test_cht_extraction import SMALL_BOUNDS, stable_dag
 
 
 def ec_factory(proposal_fn):
     return ProtocolStack(
         [EcUsingOmegaLayer(), EcDriverLayer(proposal_fn, max_instances=2)]
+    )
+
+
+class DeepCopyEcLayer(EcUsingOmegaLayer):
+    """Algorithm 4 on the generic deep-copy snapshot: the oracle."""
+
+    snapshot = Layer.snapshot
+    restore = Layer.restore
+
+
+class DeepCopyEcDriverLayer(EcDriverLayer):
+    snapshot = Layer.snapshot
+    restore = Layer.restore
+
+
+def deepcopy_factory(proposal_fn):
+    return ProtocolStack(
+        [DeepCopyEcLayer(), DeepCopyEcDriverLayer(proposal_fn, max_instances=2)]
     )
 
 
@@ -101,3 +121,177 @@ class TestSandbox:
         assert state.has_disagreement(1)
         assert not state.has_disagreement(2)
         assert state.decided_values(1) == {0, 1}
+
+
+class _EmitTwice(Layer):
+    """Queues two events for the layer above within one step."""
+
+    def on_start(self, ctx):
+        ctx.emit_upper("a")
+        ctx.emit_upper("b")
+
+
+class _DecideEach(Layer):
+    """Decides every lower event with a simulation-chosen input."""
+
+    def __init__(self, proposal_fn):
+        self.proposal_fn = proposal_fn
+
+    def on_lower_event(self, ctx, event):
+        ctx.emit_upper(("decide", event, self.proposal_fn(ctx.pid, event)))
+
+
+def emit_twice_factory(proposal_fn):
+    return ProtocolStack([_EmitTwice(), _DecideEach(proposal_fn)])
+
+
+class TestAbortedStep:
+    def test_aborted_dispatch_does_not_leak_into_next_step(self):
+        sandbox = ReplaySandbox(1, emit_twice_factory)
+        state = sandbox.initial_state()
+        # "a" needs an input while "b" is still queued inside the stack.
+        with pytest.raises(InputNeeded):
+            sandbox.execute(state, 0, None, deliver=False, inputs={})
+        inputs = {(0, "a"): 0, (0, "b"): 1}
+        after = sandbox.execute(state, 0, None, deliver=False, inputs=inputs)
+        fresh = ReplaySandbox(1, emit_twice_factory)
+        clean = fresh.execute(
+            fresh.initial_state(), 0, None, deliver=False, inputs=inputs
+        )
+        assert after.decisions == clean.decisions
+        assert [d.instance for d in after.decisions] == ["a", "b"]
+
+
+def _containers(stack_state):
+    """The mutable containers an ``ec_factory`` stack snapshot carries."""
+    (__, received, decided, __), (__, decisions) = stack_state
+    return received, decided, decisions
+
+
+class TestSnapshotValueSemantics:
+    def test_siblings_share_no_containers(self):
+        sandbox = ReplaySandbox(2, ec_factory)
+        inputs = {(0, 1): 1, (1, 1): 0, (0, 2): 0, (1, 2): 1}
+        parent = sandbox.execute(
+            sandbox.initial_state(), 0, 0, deliver=False, inputs=inputs
+        )
+        # p0 consumes its own promote and, trusting itself, decides.
+        parent = sandbox.execute(parent, 0, 0, deliver=True, inputs=inputs)
+        received, decided, decisions = _containers(parent.automata[0])
+        before = (dict(received), set(decided), dict(decisions))
+        assert all(before), before
+        left = sandbox.execute(parent, 0, 0, deliver=True, inputs=inputs)
+        right = sandbox.execute(parent, 0, 1, deliver=False, inputs=inputs)
+        views = [_containers(s.automata[0]) for s in (parent, left, right)]
+        for slot in range(3):
+            ids = {id(view[slot]) for view in views}
+            assert len(ids) == 3, f"container {slot} shared between states"
+        assert _containers(parent.automata[0]) == before
+
+    def test_mutating_live_layers_leaves_snapshot_unchanged(self):
+        stack = ec_factory(lambda pid, instance: 0)
+        stack.attach(0, 2)
+        ec, driver = stack.layers
+        ec.received[(1, 1)] = "x"
+        ec.decided.add(1)
+        driver.decisions[1] = "x"
+        snapshot = stack.snapshot()
+        ec.received[(1, 2)] = "y"
+        ec.decided.add(2)
+        driver.decisions[2] = "y"
+        stack.restore(snapshot)
+        assert (ec.received, ec.decided, driver.decisions) == (
+            {(1, 1): "x"},
+            {1},
+            {1: "x"},
+        )
+        # Restored containers are fresh copies, so the snapshot survives
+        # mutation after a restore too.
+        ec.received.clear()
+        ec.decided.clear()
+        driver.decisions.clear()
+        stack.restore(snapshot)
+        assert (ec.received, ec.decided, driver.decisions) == (
+            {(1, 1): "x"},
+            {1},
+            {1: "x"},
+        )
+
+
+def _restored_layers(factory, n, automata):
+    """Every layer attribute each process's snapshot restores to."""
+    views = []
+    for pid, snapshot in enumerate(automata):
+        stack = factory(None)
+        stack.attach(pid, n)
+        stack.restore(snapshot)
+        views.append(
+            [
+                {k: v for k, v in vars(layer).items() if k != "proposal_fn"}
+                for layer in stack.layers
+            ]
+        )
+    return views
+
+
+def _tree_digest(factory, dag, n, bounds):
+    tree = SimulationTree(dag, ReplaySandbox(n, factory), bounds)
+    tree.compute_tags()
+    return tree.truncated, [
+        (
+            node.node_id,
+            node.parent,
+            node.step,
+            node.children,
+            node.inputs,
+            node.tags,
+            node.max_sample_k,
+            node.state.started,
+            node.state.buffers,
+            node.state.decisions,
+            node.state.steps_taken,
+            _restored_layers(factory, n, node.state.automata),
+        )
+        for node in tree.nodes
+    ]
+
+
+def rotating_dag(n=3, rounds=3):
+    """Samples whose Omega output rotates every round (EXP-7's churn)."""
+    dag = SampleDag()
+    for r in range(rounds):
+        for pid in range(n):
+            dag.add_sample(pid, r % n)
+    return dag
+
+
+EXP7_BOUNDS = TreeBounds(max_depth=5, max_nodes=800)
+
+DIFFERENTIAL_CASES = [
+    pytest.param(stable_dag(leader=0), 2, SMALL_BOUNDS, id="stable-p0"),
+    pytest.param(stable_dag(leader=1), 2, SMALL_BOUNDS, id="stable-p1"),
+    pytest.param(
+        stable_dag(n=3, leader=2, rounds=3),
+        3,
+        TreeBounds(max_depth=5, max_nodes=1500, max_successors=4),
+        id="stable-n3",
+    ),
+    pytest.param(rotating_dag(), 3, EXP7_BOUNDS, id="rotating-exp7-bounds"),
+]
+
+
+class TestDeepCopyDifferential:
+    """Structural layer snapshots against the generic deep copy."""
+
+    @pytest.mark.parametrize("dag,n,bounds", DIFFERENTIAL_CASES)
+    def test_trees_match_node_by_node(self, dag, n, bounds):
+        structural = _tree_digest(ec_factory, dag, n, bounds)
+        oracle = _tree_digest(deepcopy_factory, dag, n, bounds)
+        assert len(structural[1]) > 1
+        assert structural == oracle
+
+    @pytest.mark.parametrize("dag,n,bounds", DIFFERENTIAL_CASES)
+    def test_extraction_results_match(self, dag, n, bounds):
+        structural = extract_leader(dag, ec_factory, n, bounds=bounds)
+        oracle = extract_leader(dag, deepcopy_factory, n, bounds=bounds)
+        assert structural == oracle

@@ -1,8 +1,4 @@
-"""Smoke tests: every example script runs and prints its headline result.
-
-The CHT demo is exercised with reduced bounds elsewhere
-(tests/test_cht_extraction.py); running it here would dominate suite time.
-"""
+"""Smoke tests: every example script runs and prints its headline result."""
 
 import contextlib
 import importlib.util
@@ -56,3 +52,8 @@ class TestExamples:
         output = run_example("service_clients")
         assert "failing over" in output
         assert "Surviving replicas agree: True" in output
+
+    def test_cht_extraction_demo(self):
+        output = run_example("cht_extraction_demo")
+        assert "Correct processes agree on emulated leader: True" in output
+        assert "(correct: True)" in output
