@@ -24,8 +24,7 @@ paths run the *same* trajectory (asserted byte-identical):
   gated as ``compiled_speedup``, the top of the kernel ladder). Skipped
   silently when the extension is not built, unless
   ``--require-compiled``, which additionally asserts the C loop actually
-  engaged (``sim.fused_path == "c-loop"``) rather than silently degrading
-  to the Python fused loop.
+  engaged (``sim.fused_path == "c-loop"``) rather than the generic engine.
 
 Measured: wall-clock throughput on a long run (the legacy path additionally
 decays with run length as the GC traverses millions of retained records)
@@ -56,7 +55,6 @@ from pathlib import Path
 
 from repro.sim import (
     HAS_COMPILED,
-    HAS_COMPILED_LOOP,
     FailurePattern,
     FixedDelay,
     LegacyFullRecorder,
@@ -153,15 +151,14 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    if args.require_compiled and not HAS_COMPILED_LOOP:
+    if args.require_compiled and not HAS_COMPILED:
         print(
-            "FAIL: --require-compiled but repro.sim._ckernel is "
-            + ("stale (no run_loop)" if HAS_COMPILED else "not built")
-            + "; run `python setup.py build_ext --inplace`"
+            "FAIL: --require-compiled but repro.sim._ckernel is not built; "
+            "run `python setup.py build_ext --inplace`"
         )
         return 1
     paths = ["legacy", "columnar", "packed"]
-    if HAS_COMPILED_LOOP:
+    if HAS_COMPILED:
         paths.append("compiled-loop")
 
     # Interleaved trials; the first round doubles as the correctness gate:
@@ -195,8 +192,8 @@ def main() -> int:
                 if args.require_compiled and not engaged:
                     print(
                         "FAIL: --require-compiled but the compiled-loop "
-                        "rung degraded to the "
-                        f"{sims['compiled-loop'].fused_path!r} fused path "
+                        "kernel ran the "
+                        f"{sims['compiled-loop'].fused_path!r} path "
                         "on the bench scenario"
                     )
                     return 1

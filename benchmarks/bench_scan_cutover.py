@@ -40,7 +40,7 @@ import sys
 import time
 
 from repro.sim import (
-    HAS_COMPILED_LOOP,
+    HAS_COMPILED,
     SCAN_EVENT_CUTOVER,
     FixedDelay,
     Process,
@@ -129,7 +129,7 @@ def main() -> int:
     args = parser.parse_args()
 
     kernels = ["packed"]
-    if HAS_COMPILED_LOOP:
+    if HAS_COMPILED:
         kernels.append("compiled-loop")
     results = {
         "ticks": args.ticks,

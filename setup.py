@@ -2,12 +2,18 @@
 
 All project metadata lives in pyproject.toml; this file exists only to
 declare the optional C extension backing
-``Simulation(kernel="compiled-loop")``. The extension is best-effort: a
-missing compiler (or any build failure) degrades to a pure-Python install
-where ``repro.sim.HAS_COMPILED`` is False and the "compiled-loop" kernel
-raises ConfigurationError at construction.  Build it in place with::
+``Simulation(kernel="compiled-loop")``: the C message pool and the C tick
+loop (``_ckernel.run_loop``). The extension is best-effort: a missing
+compiler (or any build failure) degrades to a pure-Python install where
+``repro.sim.HAS_COMPILED`` is False and the "compiled-loop" kernel raises
+ConfigurationError at construction; an extension left over from a
+checkout before ``run_loop`` existed counts as not built. Build it in
+place with::
 
     python setup.py build_ext --inplace
+
+CI also rebuilds it under ASan/UBSan (see the compiled-loop leg of
+``.github/workflows/ci.yml``).
 """
 
 from setuptools import Extension, setup

@@ -47,7 +47,6 @@ from repro.sim.errors import ConfigurationError, SimulationError
 from repro.sim.failures import ChurnSchedule, Environment, FailurePattern
 from repro.sim.kernel import (
     HAS_COMPILED,
-    HAS_COMPILED_LOOP,
     KERNELS,
     SCAN_EVENT_CUTOVER,
     CompiledPackedNetwork,
@@ -55,7 +54,7 @@ from repro.sim.kernel import (
     make_network,
 )
 from repro.sim.network import (
-    DEFAULT_COMPACT_FACTOR,
+    COMPACT_FACTOR,
     FixedDelay,
     GstDelay,
     Network,
@@ -91,9 +90,8 @@ __all__ = [
     "CompiledPackedNetwork",
     "ConfigurationError",
     "Context",
-    "DEFAULT_COMPACT_FACTOR",
+    "COMPACT_FACTOR",
     "HAS_COMPILED",
-    "HAS_COMPILED_LOOP",
     "KERNELS",
     "SCAN_EVENT_CUTOVER",
     "PackedNetwork",

@@ -28,10 +28,6 @@ module removes both:
   (``Simulation.step`` + batched pops + timeout check + recording) fused
   into one function that reads the packed columns directly and appends
   straight into the run's columnar :class:`~repro.sim.runs.StepStore`.
-  Selected automatically by ``Simulation(kernel="packed")`` for
-  ``engine="event"`` + round-robin runs whose observers all take the raw
-  dispatch paths; every other configuration falls back to the generic
-  engine (still on the packed network, through its compat methods).
 
 Kernel selection — ``Simulation(kernel=...)``:
 
@@ -47,18 +43,21 @@ Kernel selection — ``Simulation(kernel=...)``:
     owns the round-robin dense-tick loop itself (due checks, shard pops,
     timeout firing, outbox expansion, local-index refresh, store appends),
     calling back into Python only for process handlers, packed sends,
-    idle-span accounting, and raw/log observers. The C loop engages under
-    the same conditions as the Python fused loop *and* additionally
-    requires no send/deliver observers (those need per-envelope views the
-    C loop never materializes); ineligible runs degrade one rung to the
-    shared Python fused loop over the same C pool, never to an error.
-    Requesting the kernel without the extension built raises
+    idle-span accounting, and raw/log observers. Requesting the kernel
+    without the extension built raises
     :class:`~repro.sim.errors.ConfigurationError`; :data:`HAS_COMPILED`
-    reports availability, and :data:`HAS_COMPILED_LOOP` whether the C loop
-    is exported (a stale extension without ``run_loop`` degrades the same
-    way).
+    reports availability (an extension without ``run_loop`` counts as not
+    built).
 
-All kernel rungs are pinned byte-identical (run records, counters, RNG
+One engagement rule picks the runner (:func:`fused_runner`): an
+``engine="event"`` round-robin run whose step observers all take
+``on_step_raw`` and which has no ``on_send`` / ``on_deliver`` observer
+runs a fused loop chosen by the network's type — ``_ckernel.run_loop``
+on a :class:`CompiledPackedNetwork`, :func:`run_fused_rr` on a
+:class:`PackedNetwork`. Every other configuration runs the generic engine
+against the network's compat methods.
+
+All kernels are pinned byte-identical (run records, counters, RNG
 streams) by ``tests/test_kernel.py`` on top of the PR 4 differential oracle
 machinery; ``run_fused_rr`` stays the reference implementation and
 differential oracle for the C loop.
@@ -78,12 +77,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.context import BROADCAST_ALL
 from repro.sim.errors import ConfigurationError
-from repro.sim.network import (
-    DEFAULT_COMPACT_FACTOR,
-    DelayModel,
-    Envelope,
-    Network,
-)
+from repro.sim.network import DelayModel, Envelope, Network
 from repro.sim.observers import FullRecorder
 from repro.sim.types import NEVER, ProcessId, Time
 
@@ -122,16 +116,12 @@ _KEY_SHIFT = _SLOT_BITS + _SEQ_BITS
 
 try:  # optional compiled backend; see setup.py
     from repro.sim import _ckernel  # type: ignore[attr-defined]
-
-    HAS_COMPILED = True
 except ImportError:  # pragma: no cover - exercised only without the ext
     _ckernel = None
-    HAS_COMPILED = False
 
-#: the C tick loop rides the same extension but is feature-detected
-#: separately so a stale ``_ckernel.so`` from an older checkout degrades
-#: to the Python fused loop instead of failing at run time.
-HAS_COMPILED_LOOP = HAS_COMPILED and hasattr(_ckernel, "run_loop")
+#: the extension is importable and exports ``run_loop``; a stale
+#: ``_ckernel.so`` from an older checkout counts as not built.
+HAS_COMPILED = hasattr(_ckernel, "run_loop")
 
 
 class PackedNetwork(Network):
@@ -149,14 +139,8 @@ class PackedNetwork(Network):
     :meth:`send_all_packed`) and the fused loop skip them entirely.
     """
 
-    def __init__(
-        self,
-        n: int,
-        delay_model: DelayModel | None = None,
-        *,
-        compact_factor: int = DEFAULT_COMPACT_FACTOR,
-    ) -> None:
-        super().__init__(n, delay_model, compact_factor=compact_factor)
+    def __init__(self, n: int, delay_model: DelayModel | None = None) -> None:
+        super().__init__(n, delay_model)
         #: the object heaps are replaced by the pool; poisoned so any code
         #: still reaching for them fails fast instead of desynchronizing.
         self._queues = None  # type: ignore[assignment]
@@ -611,20 +595,14 @@ class CompiledPackedNetwork(PackedNetwork):
     empty and unused.
     """
 
-    def __init__(
-        self,
-        n: int,
-        delay_model: DelayModel | None = None,
-        *,
-        compact_factor: int = DEFAULT_COMPACT_FACTOR,
-    ) -> None:
+    def __init__(self, n: int, delay_model: DelayModel | None = None) -> None:
         if not HAS_COMPILED:
             raise ConfigurationError(
                 "kernel='compiled-loop' requested but repro.sim._ckernel is not "
                 "built; run `python setup.py build_ext --inplace` with a C "
                 "compiler available, or use kernel='packed'"
             )
-        super().__init__(n, delay_model, compact_factor=compact_factor)
+        super().__init__(n, delay_model)
         self._shards = None  # type: ignore[assignment]  # lives in the pool
         self._pool = _ckernel.Pool(n)
 
@@ -813,54 +791,56 @@ def make_network(
     delay_model: DelayModel | None = None,
     *,
     kernel: str = "packed",
-    compact_factor: int = DEFAULT_COMPACT_FACTOR,
 ) -> Network:
     """Build the network backing a kernel selection (see :data:`KERNELS`)."""
     if kernel == "legacy":
-        return Network(n, delay_model, compact_factor=compact_factor)
+        return Network(n, delay_model)
     if kernel == "packed":
-        return PackedNetwork(n, delay_model, compact_factor=compact_factor)
+        return PackedNetwork(n, delay_model)
     if kernel == "compiled-loop":
-        return CompiledPackedNetwork(
-            n, delay_model, compact_factor=compact_factor
-        )
+        return CompiledPackedNetwork(n, delay_model)
     raise ConfigurationError(
         f"unknown kernel {kernel!r}; expected one of {KERNELS}"
     )
 
 
+def kernel_of(network: Network) -> str:
+    """The kernel name of a network, from its type (inverse of
+    :func:`make_network`)."""
+    if isinstance(network, CompiledPackedNetwork):
+        return "compiled-loop"
+    if isinstance(network, PackedNetwork):
+        return "packed"
+    return "legacy"
+
+
 def fused_runner(sim: "Simulation") -> Callable[["Simulation", Time], None] | None:
     """The fused dense-tick runner for ``sim``, or None when ineligible.
 
-    Eligible for ``engine="event"`` + round-robin runs on a packed network
-    whose attached step observers all take the raw dispatch path (the
-    built-in recorders do) — then the fused loop is behaviourally identical
-    to the generic event engine. Ineligible configurations run the generic
-    loops against the network's compat methods, and ``sim.fused_path``
-    reports None for them.
-
-    ``kernel="compiled-loop"`` adds one more rung: when the C extension
-    exports ``run_loop`` and no send/deliver observer is attached (the C
-    loop never materializes the Envelope views those hooks receive; log
-    observers are fine — log dispatch crosses back into Python), the tick
-    loop itself runs in C. Every ineligible combination degrades to the
-    Python fused loop — the ladder never falls off to an error.
+    One engagement rule for both fused loops: ``engine="event"``,
+    round-robin scheduling, every step observer takes ``on_step_raw`` (the
+    built-in recorders do), and no ``on_send`` / ``on_deliver`` observer is
+    attached (the fused loops never materialize the Envelope views those
+    hooks receive; log observers are fine). An eligible run takes the loop
+    matching its network's type (``sim.kernel``, see :func:`kernel_of`):
+    ``_ckernel.run_loop`` on a :class:`CompiledPackedNetwork`,
+    :func:`run_fused_rr` on a :class:`PackedNetwork`. Everything else runs the generic engine against
+    the network's compat methods, and ``sim.fused_path`` reports None.
     """
     if sim.engine != "event" or sim.scheduling != "round_robin":
         return None
     if sim._step_observers and sim._raw_step_observers is None:
         return None
-    if not isinstance(sim.network, PackedNetwork):
+    # The fused loops only send and pop envelope-free: they engage only
+    # where the generic engine's sends and pops skip envelopes too, i.e.
+    # no on_send / on_deliver observer is attached.
+    if not sim._packed_sends or sim._raw_pops is None:
         return None
-    if (
-        sim.kernel == "compiled-loop"
-        and HAS_COMPILED_LOOP
-        and isinstance(sim.network, CompiledPackedNetwork)
-        and not sim._send_observers
-        and not sim._deliver_observers
-    ):
+    if sim.kernel == "compiled-loop":
         return run_fused_rr_compiled
-    return run_fused_rr
+    if sim.kernel == "packed":
+        return run_fused_rr
+    return None
 
 
 def fused_path_name(
@@ -902,11 +882,12 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     sim._advance_event_rr(t_end)`` over a packed network — same handler
     call order, same RNG draws, same records, same counters — but the
     per-tick work reads the packed columns directly: shard-heap pops and
-    sends never materialize envelopes (unless a deliver/send observer is
-    attached), and full-fidelity recording appends straight into the run's
-    columnar ``StepStore``. Idle stretches reuse the engine's span
-    accounting (``_next_event_query`` / ``_skip_span_rr``), so crashes,
-    idle-record materialization, and metrics behave exactly as before.
+    sends never materialize envelopes, and full-fidelity recording appends
+    straight into the run's columnar ``StepStore``. Idle stretches reuse
+    the engine's span accounting (``_next_event_query`` /
+    ``_skip_span_rr``), so crashes, idle-record materialization, and
+    metrics behave exactly as before. Serves Python shards only; the C pool
+    runs under ``_ckernel.run_loop``.
     """
     net = sim.network
     n = sim.n
@@ -935,8 +916,6 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     inputs_by_pid = sim._inputs
     started = sim._started
     message_batch = sim.message_batch
-    deliver_obs = sim._deliver_observers
-    send_obs = sim._send_observers
     log_obs = sim._log_observers
     raw_obs = sim._raw_step_observers
     run = sim.run
@@ -949,15 +928,12 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
     horizon = net._horizon
     horizon_cap = net._horizon_cap
 
-    # Pool storage: Python shard heaps + columns, or the C pool.
-    pool = getattr(net, "_pool", None)
-    if pool is None:
-        shards = net._shards
-        col_seq = net._col_seq
-        col_sender = net._col_sender
-        col_send_time = net._col_send_time
-        col_payload = net._col_payload
-        free_append = net._free.append
+    # Pool storage: Python shard heaps + columns.
+    shards = net._shards
+    col_sender = net._col_sender
+    col_send_time = net._col_send_time
+    col_payload = net._col_payload
+    free_append = net._free.append
 
     send_packed = net.send_packed
     send_all_packed = net.send_all_packed
@@ -1027,95 +1003,40 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             first_sender = -1
             first_payload = None
             first_send_time = -1
-            if pool is None:
-                shard = shards[pid]
-                if shard and shard[0] >> _KEY_SHIFT <= t:
-                    on_message = process.on_message
-                    while received < message_batch and shard:
-                        key = shard[0]
-                        deliver_at = key >> _KEY_SHIFT
-                        if deliver_at > t:
-                            break
-                        heappop(shard)
-                        slot = key & _SLOT_MASK
-                        sender = col_sender[slot]
-                        payload = col_payload[slot]
-                        if received == 0:
-                            first_sender = sender
-                            first_payload = payload
-                            first_send_time = col_send_time[slot]
-                        received += 1
-                        if deliver_at < NEVER:
-                            live[pid] -= 1
-                            if pid not in dead:
-                                net.live_pending -= 1
-                        if deliver_obs:
-                            envelope = Envelope(
-                                deliver_at, col_seq[slot], sender, pid,
-                                payload, col_send_time[slot],
-                            )
-                            col_payload[slot] = None
-                            free_append(slot)
-                            for observer in deliver_obs:
-                                observer.on_deliver(sim, envelope)
-                        else:
-                            col_payload[slot] = None
-                            free_append(slot)
-                        on_message(ctx, sender, payload)
-                    net.delivered_count += received
-                    pending[pid] -= received
-                    if shard:
-                        head = shard[0] >> _KEY_SHIFT
-                        next_at[pid] = head
-                        if len(horizon) > horizon_cap:
-                            net._compact_horizon()
-                        heappush(horizon, (head, pid))
-                    else:
-                        next_at[pid] = None
-            else:
-                head = next_at[pid]
-                if head is not None and head <= t:
-                    on_message = process.on_message
-                    new_head = -1
-                    result = pool.pop_due(pid, t)
-                    while result is not None:
-                        (
-                            deliver_at, seq, sender, send_time, payload,
-                            new_head,
-                        ) = result
-                        if received == 0:
-                            first_sender = sender
-                            first_payload = payload
-                            first_send_time = send_time
-                        received += 1
-                        if deliver_at < NEVER:
-                            live[pid] -= 1
-                            if pid not in dead:
-                                net.live_pending -= 1
-                        if deliver_obs:
-                            envelope = Envelope(
-                                deliver_at, seq, sender, pid, payload,
-                                send_time,
-                            )
-                            for observer in deliver_obs:
-                                observer.on_deliver(sim, envelope)
-                        on_message(ctx, sender, payload)
-                        if (
-                            received >= message_batch
-                            or new_head < 0
-                            or new_head > t
-                        ):
-                            break
-                        result = pool.pop_due(pid, t)
-                    net.delivered_count += received
-                    pending[pid] -= received
-                    if new_head >= 0:
-                        next_at[pid] = new_head
-                        if len(horizon) > horizon_cap:
-                            net._compact_horizon()
-                        heappush(horizon, (new_head, pid))
-                    else:
-                        next_at[pid] = None
+            shard = shards[pid]
+            if shard and shard[0] >> _KEY_SHIFT <= t:
+                on_message = process.on_message
+                while received < message_batch and shard:
+                    key = shard[0]
+                    deliver_at = key >> _KEY_SHIFT
+                    if deliver_at > t:
+                        break
+                    heappop(shard)
+                    slot = key & _SLOT_MASK
+                    sender = col_sender[slot]
+                    payload = col_payload[slot]
+                    if received == 0:
+                        first_sender = sender
+                        first_payload = payload
+                        first_send_time = col_send_time[slot]
+                    received += 1
+                    if deliver_at < NEVER:
+                        live[pid] -= 1
+                        if pid not in dead:
+                            net.live_pending -= 1
+                    col_payload[slot] = None
+                    free_append(slot)
+                    on_message(ctx, sender, payload)
+                net.delivered_count += received
+                pending[pid] -= received
+                if shard:
+                    head = shard[0] >> _KEY_SHIFT
+                    next_at[pid] = head
+                    if len(horizon) > horizon_cap:
+                        net._compact_horizon()
+                    heappush(horizon, (head, pid))
+                else:
+                    next_at[pid] = None
 
             if t >= next_timeout[pid]:
                 timeout_fired = True
@@ -1128,30 +1049,14 @@ def run_fused_rr(sim: "Simulation", t_end: Time) -> None:
             sent = 0
             if outbox:
                 ctx._outbox = []
-                if send_obs:
-                    for receiver, payload in outbox:
-                        if receiver >= 0:
-                            envelope = net.send(pid, receiver, payload, t)
-                            sent += 1
-                            for observer in send_obs:
-                                observer.on_send(sim, envelope)
-                        else:
-                            for envelope in net.send_all(
-                                pid, payload, t,
-                                include_self=receiver == BROADCAST_ALL,
-                            ):
-                                sent += 1
-                                for observer in send_obs:
-                                    observer.on_send(sim, envelope)
-                else:
-                    for receiver, payload in outbox:
-                        if receiver >= 0:
-                            send_packed(pid, receiver, payload, t)
-                            sent += 1
-                        else:
-                            sent += send_all_packed(
-                                pid, payload, t, receiver == BROADCAST_ALL
-                            )
+                for receiver, payload in outbox:
+                    if receiver >= 0:
+                        send_packed(pid, receiver, payload, t)
+                        sent += 1
+                    else:
+                        sent += send_all_packed(
+                            pid, payload, t, receiver == BROADCAST_ALL
+                        )
 
             outputs = ctx._outputs
             if outputs:

@@ -22,14 +22,11 @@ from typing import Any, Iterable, Protocol, Sequence
 
 from repro.sim.types import NEVER, ProcessId, Time
 
-#: Default heap self-compaction factor: a lazy horizon heap is rebuilt from
-#: its index once it outgrows ``max(64, factor * n)`` entries. Rebuilding
-#: costs O(n) and shrinks the heap to <= n entries, so at least
-#: ``(factor - 1) * n`` pushes separate rebuilds — amortized O(1). Tunable
-#: per run via ``Network(compact_factor=...)`` / ``Simulation(compact_factor=...)``
-#: so kernel benchmarks can sweep the tradeoff (smaller factors bound stale
-#: build-up tighter; larger factors rebuild less often).
-DEFAULT_COMPACT_FACTOR = 4
+#: Heap self-compaction factor: a lazy horizon heap is rebuilt from its
+#: index once it outgrows ``max(64, COMPACT_FACTOR * n)`` entries.
+#: Rebuilding costs O(n) and shrinks the heap to <= n entries, so at least
+#: ``(COMPACT_FACTOR - 1) * n`` pushes separate rebuilds — amortized O(1).
+COMPACT_FACTOR = 4
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -212,21 +209,10 @@ class Network:
     and the quiescence counter O(1) per receiver as well.
     """
 
-    def __init__(
-        self,
-        n: int,
-        delay_model: DelayModel | None = None,
-        *,
-        compact_factor: int = DEFAULT_COMPACT_FACTOR,
-    ) -> None:
+    def __init__(self, n: int, delay_model: DelayModel | None = None) -> None:
         if n < 1:
             raise ValueError(f"need at least one process, got n={n}")
-        if compact_factor < 1:
-            raise ValueError(
-                f"compact_factor must be >= 1, got {compact_factor}"
-            )
         self.n = n
-        self.compact_factor = compact_factor
         self.delay_model: DelayModel = delay_model or FixedDelay(1)
         self._queues: list[list[Envelope]] = [[] for _ in range(n)]
         self._seq = itertools.count()
@@ -253,8 +239,8 @@ class Network:
         #: compaction threshold: stale entries accumulate on runs that never
         #: query the horizon (naive engine, quiescence loops), so pushes
         #: rebuild the heap from the index once it outgrows this (see
-        #: :data:`DEFAULT_COMPACT_FACTOR`; tunable via ``compact_factor``).
-        self._horizon_cap = max(64, compact_factor * n)
+        #: :data:`COMPACT_FACTOR`).
+        self._horizon_cap = max(64, COMPACT_FACTOR * n)
 
     def send(
         self, sender: ProcessId, receiver: ProcessId, payload: Any, t: Time

@@ -86,10 +86,9 @@ def build_simulation(
 ):
     """Build the :class:`~repro.sim.scheduler.Simulation` a plan describes.
 
-    ``overrides`` pass any further ``Simulation`` keyword (e.g.
-    ``compact_factor``) — including re-overriding a plan field, which keeps
-    differential tests able to flip one knob (engine, kernel, record) against
-    an otherwise identical plan.
+    ``overrides`` pass any further ``Simulation`` keyword — including
+    re-overriding a plan field, which keeps differential tests able to flip
+    one knob (engine, kernel, record) against an otherwise identical plan.
     """
     from repro.sim.scheduler import Simulation  # local: avoid import cycle
 

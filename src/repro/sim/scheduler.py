@@ -83,14 +83,10 @@ from repro.sim.kernel import (
     SCAN_EVENT_CUTOVER,
     fused_path_name,
     fused_runner,
+    kernel_of,
     make_network,
 )
-from repro.sim.network import (
-    DEFAULT_COMPACT_FACTOR,
-    DelayModel,
-    FixedDelay,
-    Network,
-)
+from repro.sim.network import COMPACT_FACTOR, DelayModel, FixedDelay, Network
 from repro.sim.observers import RunMetrics, SimObserver, make_recorder
 from repro.sim.process import Process
 from repro.sim.runs import ReceivedMessage, RunRecord, StepRecord
@@ -134,7 +130,6 @@ class Simulation:
         message_batch: int = 1,
         engine: str = "event",
         kernel: str = "packed",
-        compact_factor: int = DEFAULT_COMPACT_FACTOR,
         record: str = "full",
         observers: Sequence[SimObserver] = (),
     ) -> None:
@@ -174,23 +169,15 @@ class Simulation:
             raise ConfigurationError(
                 f"unknown kernel {kernel!r}; expected one of {KERNELS}"
             )
-        if compact_factor < 1:
-            raise ConfigurationError(
-                f"compact_factor must be >= 1, got {compact_factor}"
-            )
-        #: data-plane selection (see repro.sim.kernel). An explicitly passed
-        #: network wins over the flag: the kernel then follows the network's
-        #: actual type.
-        self.kernel = kernel
-        self.compact_factor = compact_factor
         if network is None:
             network = make_network(
-                self.n,
-                delay_model or FixedDelay(1),
-                kernel=kernel,
-                compact_factor=compact_factor,
+                self.n, delay_model or FixedDelay(1), kernel=kernel
             )
         self.network = network
+        #: data-plane selection (see repro.sim.kernel). Derived from the
+        #: network's type, so an explicitly passed network wins over the
+        #: flag.
+        self.kernel = kernel_of(network)
         if self.network.n != self.n:
             raise ConfigurationError("network size does not match process count")
         self.detector = detector
@@ -273,8 +260,8 @@ class Simulation:
         ]
         #: see Network._horizon_cap: bound the stale-entry build-up on runs
         #: that push (every executed step) without ever querying. Shares the
-        #: network's tunable compaction factor.
-        self._local_cap = max(64, compact_factor * self.n)
+        #: network's compaction factor.
+        self._local_cap = max(64, COMPACT_FACTOR * self.n)
         #: scan-vs-heap cutover for the fused loop's idle next-event query;
         #: per-sim so tests and the sweep benchmark can force either path.
         self._scan_cutover = SCAN_EVENT_CUTOVER
@@ -286,11 +273,11 @@ class Simulation:
         """Derive every observer dispatch table from ``self._observers``.
 
         Called at construction and again by :meth:`attach_observer` /
-        :meth:`detach_observer`: the fused-runner selection (including the
-        ``compiled-loop`` C rung) depends on which hooks are observed, so
-        capability changes mid-lifetime re-resolve the whole ladder — a
-        non-raw observer attaching downgrades the C loop to the generic
-        engine, detaching it restores the fast path.
+        :meth:`detach_observer`: the fused-runner selection depends on
+        which hooks are observed, so capability changes mid-lifetime
+        re-resolve it — a non-raw step, send or deliver observer attaching
+        moves a fused run to the generic engine, detaching it restores the
+        fused loop.
         """
         self._step_observers = [o for o in self._observers if _overrides(o, "on_step")]
         #: raw executed-step dispatch: taken only when every step observer
@@ -341,9 +328,9 @@ class Simulation:
         """Attach ``observer`` mid-lifetime and re-resolve dispatch.
 
         The engine re-evaluates every capability gate, so attaching an
-        observer that needs hooks the current fast path does not expose
-        (a non-raw step observer, a deliver observer under the C loop)
-        downgrades to the matching slower path before the next tick.
+        observer that needs hooks the fused loops do not expose (a non-raw
+        step observer, a send or deliver observer) moves the run to the
+        generic engine before the next tick.
         """
         if not isinstance(observer, SimObserver):
             raise ConfigurationError(

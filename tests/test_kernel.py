@@ -1,7 +1,7 @@
 """Kernel tests: the packed struct-of-arrays data plane is observationally
 identical to the legacy ``Network``, on both the network API and whole runs.
 
-Four pillars:
+Five pillars:
 
 - a hypothesis differential driving the legacy ``Network`` and the packed
   pool side by side through random send/send_all/pop/batch-pop/crash/tick
@@ -11,15 +11,15 @@ Four pillars:
   ``test_engine_differential`` pinning byte-identical :class:`RunRecord`
   objects across ``kernel="legacy" | "packed" | "compiled-loop"`` under
   both ``round_robin`` and ``random`` scheduling and both engines;
-- unit coverage for the kernel selection flag and the tunable heap
-  self-compaction threshold (``compact_factor``) it exposes;
+- unit coverage for the kernel selection flag (``sim.kernel`` follows the
+  network's type) and the heap self-compaction caps at the fixed
+  ``COMPACT_FACTOR``;
 - direct unit tests of the compiled ``Pool`` shard ordering and slot
   recycling, skipped when the extension is not built;
-- compiled-loop rung coverage: the engagement/degradation ladder
-  (``sim.fused_path``) under every observer capability, including
-  mid-lifetime :meth:`attach_observer` / :meth:`detach_observer`, and
-  skipif-gated ``run_loop`` / ``pop_due_batch`` unit tests mirroring the
-  ``Pool`` units.
+- the fused-loop engagement rule (``sim.fused_path``) under every observer
+  capability, including mid-lifetime :meth:`attach_observer` /
+  :meth:`detach_observer`, and skipif-gated ``run_loop`` /
+  ``pop_due_batch`` unit tests mirroring the ``Pool`` units.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
+    COMPACT_FACTOR,
     HAS_COMPILED,
-    HAS_COMPILED_LOOP,
     KERNELS,
     CompiledPackedNetwork,
     FixedDelay,
@@ -50,10 +50,8 @@ from repro.sim.types import NEVER
 from test_engine_differential import build_sim, random_config, run_sim
 
 #: kernels exercised by the whole-run differentials; "compiled-loop" joins
-#: when the C extension is importable, and its absence is covered
-#: separately. It needs only the Pool: with a stale extension (no run_loop)
-#: it degrades to the Python fused loop over the C pool, which the same
-#: differentials then pin.
+#: when the C extension is built (importable and exporting ``run_loop``),
+#: and its absence is covered separately.
 BUILT_KERNELS = [k for k in KERNELS if k != "compiled-loop" or HAS_COMPILED]
 
 
@@ -251,7 +249,7 @@ class TestKernelRunDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Kernel selection flag and the tunable compaction threshold.
+# Kernel selection flag and the compaction caps.
 # ---------------------------------------------------------------------------
 
 
@@ -291,6 +289,30 @@ class TestKernelSelection:
         sim = Simulation([Chatter() for _ in range(2)], network=net)
         assert sim.network is net
 
+    @pytest.mark.parametrize(
+        "network_cls, kernel, fused_path",
+        [
+            (Network, "legacy", None),
+            (PackedNetwork, "packed", "python"),
+            pytest.param(
+                CompiledPackedNetwork, "compiled-loop", "c-loop",
+                marks=pytest.mark.skipif(
+                    not HAS_COMPILED, reason="C extension not built"
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("flag", KERNELS)
+    def test_kernel_follows_an_explicit_network(
+        self, network_cls, kernel, fused_path, flag
+    ):
+        sim = Simulation(
+            [Chatter() for _ in range(3)],
+            network=network_cls(3, FixedDelay(1)),
+            kernel=flag,
+        )
+        assert (sim.kernel, sim.fused_path) == (kernel, fused_path)
+
     def test_compiled_kernel_requires_the_extension(self, monkeypatch):
         import repro.sim.kernel as kernel_mod
 
@@ -310,49 +332,24 @@ class TestKernelSelection:
 
 
 class TestCompactFactor:
-    def test_caps_derive_from_the_factor(self):
-        sim = Simulation(
-            [Chatter() for _ in range(3)], compact_factor=7, kernel="legacy"
-        )
-        assert sim.compact_factor == 7
-        assert sim.network._horizon_cap == max(64, 7 * 3)
-        assert sim._local_cap == max(64, 7 * 3)
-
-    def test_invalid_factor_rejected(self):
-        with pytest.raises(ConfigurationError, match="compact_factor"):
-            Simulation([Chatter() for _ in range(2)], compact_factor=0)
-        with pytest.raises(ValueError, match="compact_factor"):
-            Network(2, compact_factor=-3)
-
     @pytest.mark.parametrize("kernel", BUILT_KERNELS)
-    @pytest.mark.parametrize("factor", [1, 4, 32])
-    def test_heaps_stay_bounded_at_any_factor(self, kernel, factor):
-        # The self-compaction sweep the benchmarks rely on: whatever the
-        # factor, lazy deletions never accumulate past the derived cap.
-        n = 3
+    @pytest.mark.parametrize("n", [3, 24])
+    def test_heaps_stay_bounded(self, kernel, n):
+        # Lazy deletions never accumulate past max(64, COMPACT_FACTOR * n),
+        # on either side of the max.
         sim = Simulation(
             [Chatter() for _ in range(n)],
             delay_model=FixedDelay(1),
             timeout_interval=2,
-            compact_factor=factor,
             kernel=kernel,
             record="none",
         )
         sim.run_until(5_000)
-        cap = max(64, factor * n)
-        assert sim.network._horizon_cap == cap
+        cap = max(64, COMPACT_FACTOR * n)
+        assert sim.network._horizon_cap == sim._local_cap == cap
         assert sim.network.delivered_count > 1_000
         assert len(sim.network._horizon) <= cap + 1
-        assert len(sim._local_horizon) <= sim._local_cap + 1
-
-    @pytest.mark.parametrize("factor", [1, 16])
-    def test_factor_does_not_change_the_run(self, factor):
-        config = random_config(8)
-        tuned = run_sim(
-            build_sim(config, engine="event", compact_factor=factor), config
-        )
-        stock = run_sim(build_sim(config, engine="event"), config)
-        assert tuned.run == stock.run
+        assert len(sim._local_horizon) <= cap + 1
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +450,7 @@ class TestCompiledPool:
 
 
 # ---------------------------------------------------------------------------
-# Compiled tick loop: the engagement ladder and run_loop unit behaviour.
+# The fused-loop engagement rule and run_loop unit behaviour.
 # ---------------------------------------------------------------------------
 
 
@@ -522,10 +519,27 @@ class TestFusedPathResolution:
         assert _loop_sim(kernel, engine="naive").fused_path is None
         assert _loop_sim(kernel, scheduling="random").fused_path is None
 
+    @pytest.mark.parametrize("spy_cls", [SendSpy, DeliverSpy])
+    def test_envelope_observers_take_the_generic_engine(self, spy_cls):
+        # Neither fused loop materializes the Envelope views these hooks
+        # receive, so on every kernel they run the generic engine — with
+        # identical trajectories and identical observations.
+        digests, counters = {}, {}
+        for kernel in BUILT_KERNELS:
+            spy = spy_cls()
+            sim = _loop_sim(kernel, [spy])
+            assert sim.fused_path is None
+            sim.run_until(2_000)
+            digests[kernel] = run_digest(sim)
+            counters[kernel] = vars(spy)
+        assert len(set(digests.values())) == 1
+        assert all(c == counters["legacy"] for c in counters.values())
+        assert any(counters["legacy"].values())  # the spy saw traffic
+
 
 class TestObserverAttachDetach:
-    """Mid-lifetime observer changes re-resolve the whole dispatch ladder
-    (kernel-independent; the C rung's view is in TestCompiledLoopLadder)."""
+    """Mid-lifetime observer changes re-resolve the fused runner
+    (kernel-independent; the C loop's view is in TestCompiledLoopLadder)."""
 
     def test_attach_rejects_non_observers(self):
         with pytest.raises(ConfigurationError, match="SimObserver"):
@@ -557,10 +571,10 @@ class TestObserverAttachDetach:
         assert spy.steps > 0
 
 
-@pytest.mark.skipif(not HAS_COMPILED_LOOP, reason="C loop not built")
+@pytest.mark.skipif(not HAS_COMPILED, reason="C extension not built")
 class TestCompiledLoopLadder:
-    """When the C tick loop engages, when it degrades, and that both
-    answers leave the trajectory byte-identical to the Python fused loop."""
+    """When the C tick loop engages, and that its trajectory is
+    byte-identical to the Python fused loop's."""
 
     def test_engages_and_matches_python_loop(self):
         c, py = _loop_sim("compiled-loop"), _loop_sim("packed")
@@ -574,23 +588,9 @@ class TestCompiledLoopLadder:
         assert _loop_sim("legacy").fused_path is None
         assert _loop_sim("packed").fused_path == "python"
 
-    @pytest.mark.parametrize("spy_cls", [SendSpy, DeliverSpy])
-    def test_envelope_observers_degrade_to_the_python_loop(self, spy_cls):
-        # The C loop never materializes the Envelope views these hooks
-        # receive, so their presence must drop one rung — with identical
-        # trajectories and identical observations on both rungs.
-        c_spy, py_spy = spy_cls(), spy_cls()
-        c = _loop_sim("compiled-loop", [c_spy])
-        py = _loop_sim("packed", [py_spy])
-        assert c.fused_path == "python"
-        c.run_until(2_000)
-        py.run_until(2_000)
-        assert run_digest(c) == run_digest(py)
-        assert vars(c_spy) == vars(py_spy)
-
     def test_log_observers_stay_on_the_c_loop(self):
         # Log dispatch crosses back into Python from C, so a log observer
-        # must not cost the rung — and must see the identical event stream.
+        # must not cost the C loop — and must see the identical event stream.
         c_spy, py_spy = LogSpy(), LogSpy()
         c = _loop_sim("compiled-loop", [c_spy], cls=LoggingChatter)
         py = _loop_sim("packed", [py_spy], cls=LoggingChatter)
